@@ -250,6 +250,115 @@ let test_syscall_histogram () =
     (List.sort (fun a b -> compare b a) counts)
     counts
 
+(* -- Pinned replay results ---------------------------------------------
+
+   Each case records a trace, decodes it from bytes and replays it, as
+   `mitos-cli replay` does. The final shadow checkpoint digest and the
+   engine counters are pinned: a change to the replay hot path must
+   reproduce them exactly. *)
+
+module Engine = Mitos_dift.Engine
+module Shadow = Mitos_tag.Shadow
+module Provenance = Mitos_tag.Provenance
+module Calib = Mitos_experiments.Calib
+
+let counters_fingerprint (c : Engine.counters) =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf "steps=%d direct=%d indirect=%d dfp=%d ifp=%d/%d scopes=%d \
+                  src=%d sink=%d ops=%d evict=%d prop=[%s] block=[%s]"
+    c.steps c.direct_events c.indirect_events c.dfp_propagated c.ifp_propagated
+    c.ifp_blocked c.ctrl_scopes_opened c.source_bytes c.sink_tainted_bytes
+    c.shadow_ops c.evictions (ints c.per_type_propagated)
+    (ints c.per_type_blocked)
+
+let replay_fingerprint ~config ~policy built =
+  let trace = Trace.of_string (Trace.to_string (W.Workload.record built)) in
+  let engine = W.Workload.replay_engine ~config ~policy built trace in
+  Array.iter (Engine.process_record engine) (Trace.records trace);
+  ( Digest.to_hex (Digest.string (Shadow.to_string (Engine.shadow engine))),
+    counters_fingerprint (Engine.counters engine) )
+
+let params = Calib.sensitivity_params ()
+let netbench () = W.Netbench.build ~seed:3 ~chunks:4 ()
+let attack () = W.Attack.build W.Attack.Reverse_https ~seed:Calib.attack_seed ()
+
+(* M_prov = 1 makes the attack workload evict a few hundred times *)
+let with_eviction eviction = { Engine.default_config with m_prov = 1; eviction }
+
+let pinned_cases =
+  [
+    ( "netbench mitos",
+      (fun () ->
+        replay_fingerprint ~config:Engine.default_config
+          ~policy:(Mitos_dift.Policies.mitos params) (netbench ())),
+      ( "7e5107d93b376a90c3a8d1a994e1b7f6",
+        "steps=14384 direct=10788 indirect=1534 dfp=6733 ifp=857/677 scopes=1024 src=1152 sink=4 ops=16658 evict=0"
+        ^ " prop=[857,0,0,0,0,0,0,0] block=[677,0,0,0,0,0,0,0]" ) );
+    ( "netbench mitos-all-flows",
+      (fun () ->
+        replay_fingerprint ~config:Calib.attack_engine_config
+          ~policy:(Calib.mitos_all_flows params) (netbench ())),
+      ( "0b1cb81f4e06a23a2a74659ca52fb86f",
+        "steps=14384 direct=10788 indirect=1179 dfp=5286 ifp=6459/568 scopes=813 src=1152 sink=4 ops=14321 evict=0"
+        ^ " prop=[6459,0,0,0,0,0,0,0] block=[568,0,0,0,0,0,0,0]" ) );
+    ( "attack reverse_https",
+      (fun () ->
+        replay_fingerprint ~config:Calib.attack_engine_config
+          ~policy:(Calib.mitos_all_flows Calib.attack_params)
+          (attack ())),
+      ( "3d83d3e9be4a1645e514b6720dd9a130",
+        "steps=53276 direct=36703 indirect=988 dfp=9416 ifp=10688/4392 scopes=384 src=1472 sink=6 ops=20838 evict=0"
+        ^ " prop=[6078,3652,0,958,0,0,0,0] block=[0,4392,0,0,0,0,0,0]" ) );
+    ( "fifo m_prov=1",
+      (fun () ->
+        replay_fingerprint
+          ~config:(with_eviction (Shadow.Structural Provenance.Fifo))
+          ~policy:Mitos_dift.Policies.propagate_all (attack ())),
+      ( "0c8e3a894ce4d3cf99ea93b6361c315a",
+        "steps=53276 direct=36703 indirect=988 dfp=15330 ifp=988/0 scopes=384 src=1472 sink=6 ops=27998 evict=448"
+        ^ " prop=[704,0,0,284,0,0,0,0] block=[0,0,0,0,0,0,0,0]" ) );
+    ( "lru m_prov=1",
+      (fun () ->
+        replay_fingerprint
+          ~config:(with_eviction (Shadow.Structural Provenance.Lru))
+          ~policy:Mitos_dift.Policies.propagate_all (attack ())),
+      ( "a13b0f31182f81d7a62c77d51c9a6959",
+        "steps=53276 direct=36703 indirect=988 dfp=15330 ifp=988/0 scopes=384 src=1472 sink=6 ops=27998 evict=448"
+        ^ " prop=[704,0,0,284,0,0,0,0] block=[0,0,0,0,0,0,0,0]" ) );
+    ( "reject m_prov=1",
+      (fun () ->
+        replay_fingerprint
+          ~config:(with_eviction (Shadow.Structural Provenance.Reject))
+          ~policy:Mitos_dift.Policies.propagate_all (attack ())),
+      ( "e327df2ef5577c48b47c9ccedcb5c384",
+        "steps=53276 direct=36703 indirect=988 dfp=15330 ifp=988/0 scopes=384 src=1472 sink=6 ops=27998 evict=0"
+        ^ " prop=[988,0,0,0,0,0,0,0] block=[0,0,0,0,0,0,0,0]" ) );
+    ( "least-marginal m_prov=1",
+      (fun () ->
+        replay_fingerprint ~config:(with_eviction Shadow.Least_marginal)
+          ~policy:Mitos_dift.Policies.propagate_all (attack ())),
+      ( "9b8c752358eef57436b4c86f27e6455e",
+        "steps=53276 direct=36703 indirect=988 dfp=15330 ifp=988/0 scopes=384 src=1472 sink=6 ops=27998 evict=448"
+        ^ " prop=[704,0,0,284,0,0,0,0] block=[0,0,0,0,0,0,0,0]" ) );
+    ( "paged backend",
+      (fun () ->
+        replay_fingerprint
+          ~config:{ Engine.default_config with shadow_backend = Shadow.Paged }
+          ~policy:(Mitos_dift.Policies.mitos params) (netbench ())),
+      ( "d9859cce9d6a1e9518979a849310ea7f",
+        "steps=14384 direct=10788 indirect=1534 dfp=6733 ifp=857/677 scopes=1024 src=1152 sink=4 ops=16658 evict=0"
+        ^ " prop=[857,0,0,0,0,0,0,0] block=[677,0,0,0,0,0,0,0]" ) );
+  ]
+
+let pinned_tests =
+  List.map
+    (fun (name, run, (digest, counters)) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let digest', counters' = run () in
+          Alcotest.(check string) "shadow digest" digest digest';
+          Alcotest.(check string) "engine counters" counters counters'))
+    pinned_cases
+
 let () =
   Alcotest.run "mitos_replay"
     [
@@ -281,4 +390,5 @@ let () =
             test_suspend_resume_tracking;
           Alcotest.test_case "syscall histogram" `Quick test_syscall_histogram;
         ] );
+      ("pinned", pinned_tests);
     ]
