@@ -677,7 +677,10 @@ let write_bench_json ~jobs ~shards path =
   in
   (* GC allocation pressure of the replay hot path: word counts are
      exact (not sampled), so the per-record figure is deterministic
-     enough to gate at the standard tolerance *)
+     enough to gate at the standard tolerance. The full trace is
+     replayed, as for [shard_occ], so the tainted path is covered.
+     [Gc.minor_words] is read rather than [Gc.quick_stat], whose word
+     counts only advance at a collection on OCaml 5. *)
   let gc_engine =
     Mitos_workload.Workload.engine_of
       ~policy:(Mitos_dift.Policies.mitos (E.Calib.sensitivity_params ()))
@@ -685,17 +688,14 @@ let write_bench_json ~jobs ~shards path =
   in
   Mitos_dift.Engine.attach_shadow gc_engine
     ~mem_size:(Mitos_replay.Trace.mem_size trace);
-  let g0 = Gc.quick_stat () in
-  Array.iter (Mitos_dift.Engine.process_record gc_engine) slice;
-  let g1 = Gc.quick_stat () in
-  let per_record v0 v1 = (v1 -. v0) /. float_of_int (Array.length slice) in
-  let minor_words_per_record =
-    per_record g0.Gc.minor_words g1.Gc.minor_words
-  in
-  let promoted_words_per_record =
-    per_record g0.Gc.promoted_words g1.Gc.promoted_words
-  in
-  let minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections in
+  let collections0 = (Gc.quick_stat ()).Gc.minor_collections in
+  let minor0 = Gc.minor_words () and _, promoted0, _ = Gc.counters () in
+  Array.iter (Mitos_dift.Engine.process_record gc_engine) records;
+  let minor1 = Gc.minor_words () and _, promoted1, _ = Gc.counters () in
+  let minor_collections = (Gc.quick_stat ()).Gc.minor_collections - collections0 in
+  let per_record v0 v1 = (v1 -. v0) /. float_of_int (Array.length records) in
+  let minor_words_per_record = per_record minor0 minor1 in
+  let promoted_words_per_record = per_record promoted0 promoted1 in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
@@ -809,7 +809,7 @@ let write_bench_json ~jobs ~shards path =
         alert_obs_count alert_eval_ns alert_incidents
         uncontended_pair_ns
         raw_mutex_pair_ns lock_acq lock_cont lock_wait_ns lock_hold_ns
-        (Array.length slice) minor_words_per_record promoted_words_per_record
+        (Array.length records) minor_words_per_record promoted_words_per_record
         minor_collections);
   Printf.printf "wrote %s\n" path
 

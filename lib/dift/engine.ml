@@ -336,17 +336,33 @@ let tags_of_loc shadow = function
   | Loc.Reg r -> Shadow.tags_of_reg shadow r
   | Loc.Mem a -> Shadow.tags_of_addr shadow a
 
-(* Union of source tags, order-preserving (oldest list entries first),
-   deduplicated. *)
-let gather shadow srcs =
-  let seen = ref Tag.Set.empty in
-  List.concat_map (tags_of_loc shadow) srcs
-  |> List.filter (fun tag ->
-         if Tag.Set.mem tag !seen then false
-         else begin
-           seen := Tag.Set.add tag !seen;
-           true
-         end)
+(* Unions of tag lists, order-preserving (earlier lists first, each in
+   its own order), deduplicated. Every list unioned here is a
+   provenance list or such a union, so none holds a duplicate: a tag
+   need only be checked against [first] and the tags already kept. *)
+let rec add_new first extra = function
+  | [] -> extra
+  | tag :: tags ->
+    add_new first
+      (if Tag.mem tag first || Tag.mem tag extra then extra else tag :: extra)
+      tags
+
+(* [first] itself when the other lists add nothing *)
+let with_extra first = function
+  | [] -> first
+  | extra -> first @ List.rev extra
+
+let rec gather_extra shadow first extra = function
+  | [] -> extra
+  | src :: srcs ->
+    gather_extra shadow first (add_new first extra (tags_of_loc shadow src)) srcs
+
+let gather shadow = function
+  | [] -> []
+  | [ src ] -> tags_of_loc shadow src
+  | src :: srcs ->
+    let first = tags_of_loc shadow src in
+    with_extra first (gather_extra shadow first [] srcs)
 
 let space_of_loc shadow = function
   | Loc.Reg r -> Shadow.space_left_reg shadow r
@@ -370,6 +386,12 @@ let set_loc_tags t shadow ~via loc tags =
       log_arrivals t ~before:(Shadow.tags_of_addr shadow a) ~addr:a ~via tags;
     Shadow.set_addr_tags shadow a tags);
   check_confluence_loc t shadow loc
+
+let rec set_all t shadow ~via tags = function
+  | [] -> ()
+  | dst :: dsts ->
+    set_loc_tags t shadow ~via dst tags;
+    set_all t shadow ~via tags dsts
 
 let union_loc_tags t shadow ~via loc tags =
   if tags <> [] then begin
@@ -415,12 +437,11 @@ let site_cell t =
     cell
 
 let count_ifp t ~candidates ~chosen =
-  let chosen_set = List.fold_left (fun s x -> Tag.Set.add x s) Tag.Set.empty chosen in
   let site_prop, site_block = site_cell t in
   List.iter
     (fun tag ->
       let ti = Tag_type.to_int (Tag.ty tag) in
-      let propagated = Tag.Set.mem tag chosen_set in
+      let propagated = Tag.mem tag chosen in
       if propagated then begin
         t.counters.ifp_propagated <- t.counters.ifp_propagated + 1;
         incr site_prop;
@@ -474,8 +495,7 @@ let apply_direct t shadow ~kind ~width ~step srcs dsts =
   in
   t.counters.dfp_propagated <-
     t.counters.dfp_propagated + (List.length chosen * List.length dsts);
-  let via = Policy.flow_kind_to_string kind in
-  List.iter (fun dst -> set_loc_tags t shadow ~via dst chosen) dsts
+  set_all t shadow ~via:(Policy.flow_kind_to_string kind) chosen dsts
 
 let width_of_record (r : Machine.exec_record) =
   match (r.mem_read, r.mem_write) with
@@ -484,11 +504,15 @@ let width_of_record (r : Machine.exec_record) =
 
 (* -- Scope management ---------------------------------------------- *)
 
+let closes ~pc ~step scope = scope.end_pc = pc || step >= scope.expires_at_step
+
+let rec any_closes ~pc ~step = function
+  | [] -> false
+  | scope :: scopes -> closes ~pc ~step scope || any_closes ~pc ~step scopes
+
 let pop_scopes t ~pc ~step =
-  t.scopes <-
-    List.filter
-      (fun scope -> scope.end_pc <> pc && step < scope.expires_at_step)
-      t.scopes
+  if any_closes ~pc ~step t.scopes then
+    t.scopes <- List.filter (fun scope -> not (closes ~pc ~step scope)) t.scopes
 
 let push_scope t ~tags ~end_pc ~expires_at_step =
   if tags <> [] then begin
@@ -496,18 +520,15 @@ let push_scope t ~tags ~end_pc ~expires_at_step =
     t.scopes <- { tags; end_pc; expires_at_step } :: t.scopes
   end
 
+let rec scope_extra first extra = function
+  | [] -> extra
+  | scope :: scopes -> scope_extra first (add_new first extra scope.tags) scopes
+
 let scope_tags t =
   match t.scopes with
   | [] -> []
-  | scopes ->
-    let seen = ref Tag.Set.empty in
-    List.concat_map (fun s -> s.tags) scopes
-    |> List.filter (fun tag ->
-           if Tag.Set.mem tag !seen then false
-           else begin
-             seen := Tag.Set.add tag !seen;
-             true
-           end)
+  | [ scope ] -> scope.tags
+  | scope :: scopes -> with_extra scope.tags (scope_extra scope.tags [] scopes)
 
 (* Program-level writes of a record (registers + memory, excluding
    syscall effects, which carry their own taint semantics). *)
@@ -661,6 +682,18 @@ let apply_event t shadow ~width ~step (event : Extract.event) =
     Shadow.clear_reg shadow r;
     t.counters.shadow_ops <- t.counters.shadow_ops + 1
 
+let rec apply_events t shadow ~width ~step = function
+  | [] -> ()
+  | event :: events ->
+    apply_event t shadow ~width ~step event;
+    apply_events t shadow ~width ~step events
+
+let rec run_hooks r = function
+  | [] -> ()
+  | f :: fs ->
+    f r;
+    run_hooks r fs
+
 let process_record_inner t (r : Machine.exec_record) =
   let shadow = the_shadow t in
   let step = r.step in
@@ -668,21 +701,21 @@ let process_record_inner t (r : Machine.exec_record) =
   t.current_pc <- r.pc;
   pop_scopes t ~pc:r.pc ~step;
   let width = width_of_record r in
-  let events = Extract.events_of_record t.extract r in
-  List.iter (apply_event t shadow ~width ~step) events;
+  apply_events t shadow ~width ~step (Extract.events_of_record t.extract r);
   (* Control dependencies: writes under open scopes receive the scope
      tags as indirect flows. *)
-  if t.config.track_ctrl && t.scopes <> [] then begin
-    let candidates = scope_tags t in
-    if candidates <> [] then
+  (match t.scopes with
+  | _ :: _ when t.config.track_ctrl -> (
+    match scope_tags t with
+    | [] -> ()
+    | candidates ->
       List.iter
         (fun dst ->
-          apply_indirect t shadow ~kind:Policy.Ctrl
-            ~width:(width_of_record r) ~step candidates dst)
-        (program_writes r)
-  end;
+          apply_indirect t shadow ~kind:Policy.Ctrl ~width ~step candidates dst)
+        (program_writes r))
+  | _ -> ());
   t.counters.steps <- t.counters.steps + 1;
-  List.iter (fun f -> f r) t.record_hooks
+  run_hooks r t.record_hooks
 
 let process_record t r =
   match t.instruments with

@@ -12,9 +12,56 @@ type event =
   | Sys_snapshot of { addr : int; len : int; key : int }
   | Sys_clear_reg of int
 
-type t = { postdom : Postdom.t }
+(* Events of an instruction that touches registers only: a function of
+   the instruction, its pc and (for a branch) the outcome alone. *)
+let register_events postdom ~pc ~taken = function
+  | Instr.Li (rd, _) -> [ Copy { srcs = []; dsts = [ Loc.Reg rd ] } ]
+  | Instr.Mov (rd, rs) ->
+    [ Copy { srcs = [ Loc.Reg rs ]; dsts = [ Loc.Reg rd ] } ]
+  | Instr.Bin (_, rd, rs1, rs2) ->
+    [ Compute { srcs = [ Loc.Reg rs1; Loc.Reg rs2 ]; dsts = [ Loc.Reg rd ] } ]
+  | Instr.Bini (_, rd, rs, _) ->
+    [ Compute { srcs = [ Loc.Reg rs ]; dsts = [ Loc.Reg rd ] } ]
+  | Instr.Branch (_, rs1, rs2, _) ->
+    [
+      Branch_point
+        {
+          cond_srcs = [ Loc.Reg rs1; Loc.Reg rs2 ];
+          scope_end = Postdom.scope_end postdom pc;
+          taken;
+        };
+    ]
+  | Instr.Jr rs -> [ Indirect_jump { target_srcs = [ Loc.Reg rs ] } ]
+  | Instr.Load _ | Instr.Store _ | Instr.Syscall _ | Instr.Jmp _ | Instr.Nop
+  | Instr.Halt ->
+    []
 
-let create prog = { postdom = Postdom.compute prog }
+(* [create] builds the register-only events of every pc once, and a
+   branch's once per outcome; all records of that instruction share
+   those immutable lists. [code] is a private copy of the program, so
+   the cache always describes the instructions it is checked against. *)
+type t = {
+  postdom : Postdom.t;
+  code : Instr.t array;
+  not_taken : event list array;  (* a branch's not-taken events; the rest *)
+  taken : event list array;  (* a branch's taken events; the rest *)
+}
+
+let create prog =
+  let postdom = Postdom.compute prog in
+  let code = Array.copy (Mitos_isa.Program.code prog) in
+  let not_taken =
+    Array.mapi (fun pc instr -> register_events postdom ~pc ~taken:false instr) code
+  in
+  let taken =
+    Array.mapi
+      (fun pc instr ->
+        if Instr.is_branch instr then register_events postdom ~pc ~taken:true instr
+        else not_taken.(pc))
+      code
+  in
+  { postdom; code; not_taken; taken }
+
 let postdom t = t.postdom
 
 let sys_events effects =
@@ -31,13 +78,6 @@ let sys_events effects =
 
 let events_of_record t (r : Machine.exec_record) =
   match r.instr with
-  | Instr.Li (rd, _) -> [ Copy { srcs = []; dsts = [ Loc.Reg rd ] } ]
-  | Instr.Mov (rd, rs) ->
-    [ Copy { srcs = [ Loc.Reg rs ]; dsts = [ Loc.Reg rd ] } ]
-  | Instr.Bin (_, rd, rs1, rs2) ->
-    [ Compute { srcs = [ Loc.Reg rs1; Loc.Reg rs2 ]; dsts = [ Loc.Reg rd ] } ]
-  | Instr.Bini (_, rd, rs, _) ->
-    [ Compute { srcs = [ Loc.Reg rs ]; dsts = [ Loc.Reg rd ] } ]
   | Instr.Load (_, rd, rb, _) ->
     let addr, len =
       match r.mem_read with
@@ -59,19 +99,18 @@ let events_of_record t (r : Machine.exec_record) =
       Copy { srcs = [ Loc.Reg rs ]; dsts };
       Addr_dep { addr_srcs = [ Loc.Reg rb ]; dsts };
     ]
-  | Instr.Branch (_, rs1, rs2, _) ->
-    let taken = match r.taken with Some b -> b | None -> assert false in
-    [
-      Branch_point
-        {
-          cond_srcs = [ Loc.Reg rs1; Loc.Reg rs2 ];
-          scope_end = Postdom.scope_end t.postdom r.pc;
-          taken;
-        };
-    ]
-  | Instr.Jr rs -> [ Indirect_jump { target_srcs = [ Loc.Reg rs ] } ]
   | Instr.Syscall _ -> sys_events r.sys_effects
-  | Instr.Jmp _ | Instr.Nop | Instr.Halt -> []
+  | instr ->
+    let taken =
+      match (instr, r.taken) with
+      | Instr.Branch _, Some b -> b
+      | Instr.Branch _, None -> assert false (* branches record the outcome *)
+      | _ -> false
+    in
+    let pc = r.pc in
+    if pc >= 0 && pc < Array.length t.code && Instr.equal instr t.code.(pc) then
+      if taken then t.taken.(pc) else t.not_taken.(pc)
+    else register_events t.postdom ~pc ~taken instr
 
 let written_locs (r : Machine.exec_record) =
   let regs =

@@ -49,6 +49,9 @@ type t =
 
 val bytes_of_width : width -> int
 
+val equal : t -> t -> bool
+(** Structural equality. *)
+
 val reads : t -> int list
 (** Registers read, in operand order (address registers included). *)
 

@@ -313,11 +313,21 @@ let encode_record enc r =
   E.uint enc r.next_pc;
   E.list enc (encode_effect enc) r.sys_effects
 
-let decode_record dec =
+(* every decoded branch record shares one of these *)
+let some_true = Some true
+let some_false = Some false
+
+let decode_record prog dec =
   let module D = Mitos_util.Codec.Dec in
   let step = D.uint dec in
   let pc = D.uint dec in
-  let instr = Instr.decode dec in
+  let instr =
+    let decoded = Instr.decode dec in
+    if pc >= 0 && pc < Program.length prog then
+      let own = Program.instr prog pc in
+      if Instr.equal decoded own then own else decoded
+    else decoded
+  in
   let pair dec =
     let a = D.uint dec in
     let b = D.uint dec in
@@ -327,7 +337,9 @@ let decode_record dec =
   let reg_write = D.option dec pair in
   let mem_read = D.option dec pair in
   let mem_write = D.option dec pair in
-  let taken = D.option dec D.bool in
+  let taken =
+    if D.bool dec then if D.bool dec then some_true else some_false else None
+  in
   let next_pc = D.uint dec in
   let sys_effects = D.list dec decode_effect in
   {

@@ -78,4 +78,8 @@ val run : ?max_steps:int -> t -> (exec_record -> unit) -> int
 val pp_record : Format.formatter -> exec_record -> unit
 
 val encode_record : Mitos_util.Codec.Enc.t -> exec_record -> unit
-val decode_record : Mitos_util.Codec.Dec.t -> exec_record
+val decode_record : Program.t -> Mitos_util.Codec.Dec.t -> exec_record
+(** [decode_record prog dec] reads one record of a trace of [prog]. An
+    instruction equal to [prog]'s own at the record's [pc] is returned
+    as that very value, so a decoded trace shares its program's
+    instructions instead of holding a copy per record. *)

@@ -50,7 +50,7 @@ let of_string s =
         let v = Codec.Dec.string dec in
         (k, v))
   in
-  let records = Codec.Dec.array dec Machine.decode_record in
+  let records = Codec.Dec.array dec (Machine.decode_record program) in
   Codec.Dec.expect_end dec;
   { program; mem_size; records; meta }
 

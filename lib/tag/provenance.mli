@@ -47,6 +47,12 @@ val remove : t -> Tag.t -> bool
 val touch : t -> Tag.t -> unit
 (** Refresh recency under [Lru]; no-op otherwise. *)
 
+val assign : t -> Tag.t list -> bool
+(** [assign t tags] makes [tags] the whole list, in order, when [tags]
+    is duplicate-free and within capacity, and returns [true].
+    Otherwise it leaves [t] as it is and returns [false]. No eviction
+    happens either way. *)
+
 val clear : t -> Tag.t list
 (** Empties the list, returning the tags that were present. *)
 

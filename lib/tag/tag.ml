@@ -3,7 +3,12 @@ type t = { ty : Tag_type.t; id : int }
 let make ty id = { ty; id }
 let ty t = t.ty
 let id t = t.id
-let equal a b = Tag_type.equal a.ty b.ty && a.id = b.id
+(* types are constant constructors, so [==] compares them *)
+let equal a b = a.ty == b.ty && a.id = b.id
+
+let rec mem tag = function
+  | [] -> false
+  | x :: rest -> equal x tag || mem tag rest
 
 let compare a b =
   match Tag_type.compare a.ty b.ty with 0 -> Int.compare a.id b.id | c -> c
@@ -38,10 +43,4 @@ module Table = Hashtbl.Make (struct
 
   let equal = equal
   let hash = hash
-end)
-
-module Set = Set.Make (struct
-  type nonrec t = t
-
-  let compare = compare
 end)

@@ -11,6 +11,11 @@ val make : Tag_type.t -> int -> t
 val ty : t -> Tag_type.t
 val id : t -> int
 val equal : t -> t -> bool
+
+val mem : t -> t list -> bool
+(** [mem tag tags]: is a tag {!equal} to [tag] in [tags]? Allocates
+    nothing. *)
+
 val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
@@ -35,6 +40,3 @@ val total_created : registry -> int
 
 (** Hashtable keyed by tags. *)
 module Table : Hashtbl.S with type key = t
-
-(** Ordered set of tags. *)
-module Set : Set.S with type elt = t

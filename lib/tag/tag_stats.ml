@@ -13,10 +13,11 @@ let create () =
     total = 0;
   }
 
+(* Lookups use [find] rather than [find_opt]: no [Some] per call. *)
 let cell t tag =
-  match Tag.Table.find_opt t.counts tag with
-  | Some r -> r
-  | None ->
+  match Tag.Table.find t.counts tag with
+  | r -> r
+  | exception Not_found ->
     let r = ref 0 in
     Tag.Table.add t.counts tag r;
     r
@@ -33,12 +34,12 @@ let incr t tag =
   t.total <- t.total + 1
 
 let decr t tag =
-  match Tag.Table.find_opt t.counts tag with
-  | None | Some { contents = 0 } ->
+  match Tag.Table.find t.counts tag with
+  | exception Not_found | { contents = 0 } ->
     invalid_arg
       (Printf.sprintf "Tag_stats.decr: count of %s already zero"
          (Tag.to_string tag))
-  | Some r ->
+  | r ->
     Stdlib.decr r;
     let ti = Tag_type.to_int (Tag.ty tag) in
     t.per_type_total.(ti) <- t.per_type_total.(ti) - 1;
@@ -46,7 +47,7 @@ let decr t tag =
     if !r = 0 then t.per_type_distinct.(ti) <- t.per_type_distinct.(ti) - 1
 
 let count t tag =
-  match Tag.Table.find_opt t.counts tag with Some r -> !r | None -> 0
+  match Tag.Table.find t.counts tag with r -> !r | exception Not_found -> 0
 
 let total t = t.total
 let per_type t ty = t.per_type_total.(Tag_type.to_int ty)

@@ -281,6 +281,51 @@ let test_wire_error_offsets () =
       (String.length frame) offset
   | _ -> Alcotest.fail "expected Corrupt"
 
+(* The server's frame decoder reports [Codec.Dec.pos] as the Corrupt
+   offset, so every offset below is pinned to a concrete value. The
+   request mixes one-byte and multi-byte varints. *)
+let test_wire_error_offsets_pinned () =
+  let req =
+    Wire.Decide
+      [
+        {
+          Wire.space = 200;
+          pollution = 0.5;
+          candidates =
+            [
+              (Tag.make Tag_type.Network 3, 1);
+              (Tag.make Tag_type.File 70_000, 300);
+            ];
+        };
+      ]
+  in
+  let describe = function
+    | Ok _ -> "ok"
+    | Error (Wire.Truncated { offset }) -> Printf.sprintf "T%d" offset
+    | Error (Wire.Corrupt { offset; _ }) -> Printf.sprintf "C%d" offset
+    | Error _ -> "other"
+  in
+  let prefixes s decode =
+    String.concat " "
+      (List.init (String.length s + 1) (fun n -> describe (decode (String.sub s 0 n))))
+  in
+  let body = Wire.encode_request_body ~id:300 req in
+  Alcotest.(check string) "body prefixes"
+    "C0 C1 C2 C3 C4 C5 C6 C7 C8 C9 C10 C11 C12 C13 C14 C15 C16 C17 C18 C19 \
+     C20 C21 C22 C23 C24 C25 ok"
+    (prefixes body Wire.decode_request);
+  let frame = Wire.encode_request ~id:300 req in
+  Alcotest.(check string) "frame prefixes"
+    "T0 T1 T2 T3 T4 T5 T6 T7 T8 T9 T10 T11 T12 T13 T14 T15 T16 T17 T18 T19 \
+     T20 T21 T22 T23 T24 T25 T26 ok"
+    (prefixes frame Wire.decode_request_frame);
+  (* an overlong varint fails where the loop gave up; a bad byte, just
+     past it *)
+  Alcotest.(check string) "overlong id varint" "C11"
+    (describe (Wire.decode_request ("\x01" ^ String.make 12 '\xff')));
+  Alcotest.(check string) "invalid trace presence byte" "C4"
+    (describe (Wire.decode_request "\x02\x01\x01\x07"))
+
 let test_wire_unknown_tag_type () =
   (* candidate with tag-type 200: Corrupt, not Invalid_argument *)
   let e = Mitos_util.Codec.Enc.create () in
@@ -1272,6 +1317,8 @@ let () =
           Alcotest.test_case "v1 fixture + v2 trace" `Quick
             test_wire_v1_fixture;
           Alcotest.test_case "error offsets" `Quick test_wire_error_offsets;
+          Alcotest.test_case "error offsets pinned" `Quick
+            test_wire_error_offsets_pinned;
           QCheck_alcotest.to_alcotest qcheck_telemetry_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_telemetry_truncation_typed;
           Alcotest.test_case "telemetry adversarial" `Quick

@@ -466,6 +466,83 @@ let qcheck_shadow_counts_exact =
       && Tag_stats.fold stats ~init:true ~f:(fun acc t n ->
              acc && Tag_stats.count recount t = n))
 
+(* [set_*_tags] skips a rewrite to the resident list and assigns a
+   duplicate-free list that fits. Under every strategy it must be
+   indistinguishable from clearing and re-adding tag by tag: the same
+   lists in the same order, the same Tag_stats, the same evictions. *)
+let qcheck_shadow_set_matches_clear_then_add =
+  let strategies =
+    [| Shadow.Structural Provenance.Fifo; Shadow.Structural Provenance.Lru;
+       Shadow.Structural Provenance.Reject; Shadow.Least_marginal |]
+  in
+  let gen_tag = QCheck.Gen.(map2 (fun f id -> if f then file id else net id) bool (int_range 1 4)) in
+  let gen_op =
+    QCheck.Gen.(
+      triple (int_range 0 3) (int_range 0 5) (list_size (int_range 0 6) gen_tag))
+  in
+  QCheck.Test.make ~name:"set_*_tags equals clear-then-add" ~count:300
+    QCheck.(make Gen.(pair (int_range 0 3) (list_size (int_range 0 40) gen_op)))
+    (fun (strategy, ops) ->
+      let make () =
+        let sh =
+          Shadow.create ~strategy:strategies.(strategy) ~mem_capacity:8
+            ~num_regs:3 ~m_prov:3 ()
+        in
+        let evictions = ref [] in
+        Shadow.on_evict sh (Some (fun e -> evictions := e :: !evictions));
+        (sh, evictions)
+      in
+      let fast, fast_evictions = make () and slow, slow_evictions = make () in
+      List.iter
+        (fun (kind, loc, tags) ->
+          (* locations 0-2 are registers, 3-5 memory *)
+          let reg = loc < 3 and addr = loc - 3 in
+          match kind with
+          | 0 | 1 ->
+            if reg then Shadow.set_reg_tags fast loc tags
+            else Shadow.set_addr_tags fast addr tags;
+            if reg then Shadow.clear_reg slow loc else Shadow.clear_addr slow addr;
+            List.iter
+              (fun tag ->
+                ignore
+                  (if reg then Shadow.add_tag_reg slow loc tag
+                   else Shadow.add_tag_addr slow addr tag))
+              tags;
+            if kind = 1 then begin
+              (* rewriting the resident list, as the engine does for a
+                 union that adds nothing *)
+              let resident =
+                if reg then Shadow.tags_of_reg fast loc else Shadow.tags_of_addr fast addr
+              in
+              if reg then Shadow.set_reg_tags fast loc resident
+              else Shadow.set_addr_tags fast addr resident
+            end
+          | 2 ->
+            List.iter
+              (fun sh ->
+                if reg then Shadow.union_into_reg sh loc tags
+                else Shadow.union_into_addr sh addr tags)
+              [ fast; slow ]
+          | _ ->
+            List.iter
+              (fun sh -> if reg then Shadow.clear_reg sh loc else Shadow.clear_addr sh addr)
+              [ fast; slow ])
+        ops;
+      let lists sh =
+        List.init 3 (Shadow.tags_of_reg sh) @ List.init 8 (Shadow.tags_of_addr sh)
+      in
+      let stats sh =
+        let s = Shadow.stats sh in
+        ( Tag_stats.snapshot s,
+          Tag_stats.total s,
+          Tag_stats.distinct s,
+          List.map (fun ty -> (Tag_stats.per_type s ty, Tag_stats.distinct_of_type s ty))
+            Tag_type.all )
+      in
+      lists fast = lists slow
+      && stats fast = stats slow
+      && !fast_evictions = !slow_evictions)
+
 (* -- sharded shadow store ------------------------------------------------ *)
 
 let test_shadow_shard_accessors () =
@@ -641,6 +718,7 @@ let () =
           q qcheck_shadow_checkpoint_preserves_state;
           Alcotest.test_case "bounds" `Quick test_shadow_bounds;
           q qcheck_shadow_counts_exact;
+          q qcheck_shadow_set_matches_clear_then_add;
           Alcotest.test_case "shard accessors" `Quick
             test_shadow_shard_accessors;
           Alcotest.test_case "default shards" `Quick
