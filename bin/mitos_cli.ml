@@ -1478,6 +1478,7 @@ let alerts_cmd =
 (* -- decision service ---------------------------------------------------- *)
 
 module Net = Mitos_net
+module Cluster = Mitos_distrib.Cluster
 
 let parse_endpoint s = or_die (Net.Transport.endpoint_of_string s)
 
@@ -1900,14 +1901,14 @@ let node_cmd =
     if index < 0 then or_die (Error "--index must be non-negative");
     let params = make_params ~tau ~alpha ~u_net ~u_export in
     let built = or_die (build_workload workload ~seed) in
-    let cluster =
+    let node =
       Net.Netcluster.create ~index_base:index ~params ~sync_period
         ~endpoint:(parse_endpoint endpoint) [ built ]
     in
-    let rounds = Net.Netcluster.run cluster in
-    print_string
-      (Net.Netcluster.render (Net.Netcluster.report_of_net ~rounds cluster));
-    Net.Netcluster.close cluster
+    let cluster = Net.Netcluster.cluster node in
+    let rounds = Cluster.run cluster in
+    print_string (Cluster.report ~rounds cluster);
+    Net.Netcluster.close node
   in
   let index_arg =
     Arg.(
@@ -1953,25 +1954,22 @@ let cluster_cmd =
             ~f:(fun i -> entry.W.Registry.build ~seed:(seed + i))
             (List.init nodes Fun.id)
         in
+        let report cluster =
+          let rounds = Cluster.run cluster in
+          Cluster.report ~rounds cluster
+        in
         let net_report ~endpoint builts =
-          let cluster =
+          let net =
             Net.Netcluster.create ~params ~sync_period ~endpoint builts
           in
           Fun.protect
-            ~finally:(fun () -> Net.Netcluster.close cluster)
-            (fun () ->
-              let rounds = Net.Netcluster.run cluster in
-              Net.Netcluster.report_of_net ~rounds cluster)
+            ~finally:(fun () -> Net.Netcluster.close net)
+            (fun () -> report (Net.Netcluster.cluster net))
         in
-        let report =
+        let text =
           match transport with
           | "inprocess" ->
-            let cluster =
-              Mitos_distrib.Cluster.create ~shards ~params ~sync_period
-                builts
-            in
-            let rounds = Mitos_distrib.Cluster.run cluster in
-            Net.Netcluster.report_of_cluster ~rounds cluster
+            report (Cluster.create ~shards ~params ~sync_period builts)
           | "loopback" ->
             (* same shard count as inprocess, so the two transports
                fold the estimator identically and the byte-diff holds
@@ -1993,7 +1991,6 @@ let cluster_cmd =
                 net_report ~endpoint:(Net.Transport.Memory name) builts)
           | other -> net_report ~endpoint:(parse_endpoint other) builts
         in
-        let text = Net.Netcluster.render report in
         print_string text;
         match report_out with
         | None -> ()
@@ -2007,11 +2004,11 @@ let cluster_cmd =
       & opt string "inprocess"
       & info [ "transport" ] ~docv:"T"
           ~doc:
-            "Where the pollution estimator lives: 'inprocess' (shared \
-             array, the Distrib.Cluster path), 'loopback' (a decision \
-             server over the in-memory transport — byte-identical report \
-             to inprocess at any --jobs), or a coordinator ENDPOINT \
-             (tcp://HOST:PORT).")
+            "Where the pollution estimator lives: 'inprocess' (a shared \
+             in-process array), 'loopback' (a decision server over the \
+             in-memory transport — byte-identical report to inprocess at \
+             any --jobs), or a coordinator ENDPOINT (tcp://HOST:PORT). \
+             The nodes run the same loop whichever is chosen.")
   in
   let nodes_arg =
     Arg.(

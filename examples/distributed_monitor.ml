@@ -61,7 +61,7 @@ let () =
   Printf.printf
     "\n%d rounds, %d pollution syncs, global estimate %.1f copies.\n" rounds
     (Cluster.syncs_performed cluster)
-    (Mitos_distrib.Estimator.global (Cluster.estimator cluster));
+    (Cluster.global cluster);
   (match Cluster.first_alert cluster with
   | Some (node, alert) ->
     Printf.printf

@@ -1,23 +1,6 @@
-open Mitos_dift
-module Workload = Mitos_workload.Workload
 module Cluster = Mitos_distrib.Cluster
-module Estimator = Mitos_distrib.Estimator
 
-type node = {
-  index : int;
-  engine : Engine.t;
-  node_params : Mitos.Params.t;
-  client : Client.t;
-  mutable halted : bool;
-  mutable steps_since_sync : int;
-}
-
-type t = {
-  nodes : node array;
-  sync_period : int;
-  mutable syncs : int;
-  staleness_samples : Mitos_util.Stats.Online.t;
-}
+type t = { cluster : Cluster.t; clients : Client.t array }
 
 let wire_fail op = function
   | Ok v -> v
@@ -25,206 +8,44 @@ let wire_fail op = function
     failwith (Printf.sprintf "Netcluster: %s failed: %s" op
                 (Client.error_to_string err))
 
-let exact_contribution node =
-  Mitos.Cost.weighted_pollution node.node_params (Engine.stats node.engine)
+let close t = Array.iter Client.close t.clients
 
-let sync t node =
-  ignore
-    (wire_fail "publish"
-       (Client.publish node.client ~node:node.index (exact_contribution node)));
-  node.steps_since_sync <- 0;
-  t.syncs <- t.syncs + 1
-
-let create ?(config = Engine.default_config) ?client_timeout ?(index_base = 0)
-    ~params ~sync_period ~endpoint builts =
-  if sync_period < 1 then
-    invalid_arg "Netcluster.create: sync_period must be >= 1";
-  if builts = [] then invalid_arg "Netcluster.create: need at least one node";
+let create ?(config = Mitos_dift.Engine.default_config) ?client_timeout
+    ?(index_base = 0) ~params ~sync_period ~endpoint builts =
   if index_base < 0 then invalid_arg "Netcluster.create: negative index_base";
-  let nodes =
-    List.mapi
-      (fun i built ->
-        let index = index_base + i in
-        let client =
-          match Client.connect ?timeout:client_timeout endpoint with
-          | Ok c -> c
-          | Error err ->
-            failwith
-              (Printf.sprintf "Netcluster: node %d cannot reach %s: %s" index
-                 (Transport.endpoint_to_string endpoint)
-                 (Client.error_to_string err))
-        in
-        (* same policy shape as Cluster, with the estimator read moved
-           over the wire *)
-        let pollution_source _stats =
-          wire_fail "read_global" (Client.global client)
-        in
-        let policy =
-          Policies.mitos
-            ~name:(Printf.sprintf "mitos-node%d" index)
-            ~pollution_source params
-        in
-        let engine = Workload.engine_of ~config ~policy built in
-        Engine.attach engine (Workload.machine_of built);
-        {
-          index;
-          engine;
-          node_params = params;
-          client;
-          halted = false;
-          steps_since_sync = 0;
-        })
-      builts
-    |> Array.of_list
+  let connect i =
+    match Client.connect ?timeout:client_timeout endpoint with
+    | Ok c -> c
+    | Error err ->
+      failwith
+        (Printf.sprintf "Netcluster: node %d cannot reach %s: %s"
+           (index_base + i)
+           (Transport.endpoint_to_string endpoint)
+           (Client.error_to_string err))
   in
-  { nodes; sync_period; syncs = 0;
-    staleness_samples = Mitos_util.Stats.Online.create () }
+  let clients = Array.of_list (List.mapi (fun i _ -> connect i) builts) in
+  (* each slot's traffic goes through its own node's connection *)
+  let client slot = clients.(slot - index_base) in
+  let est =
+    {
+      Cluster.publish =
+        (fun ~slot v ->
+          ignore
+            (wire_fail "publish" (Client.publish (client slot) ~node:slot v)));
+      contribution =
+        (fun ~slot ->
+          wire_fail "read_node" (Client.read_node (client slot) slot));
+      global =
+        (fun ~slot -> wire_fail "read_global" (Client.global (client slot)));
+    }
+  in
+  match
+    Cluster.create_over est ~first_slot:index_base ~config ~params
+      ~sync_period builts
+  with
+  | cluster -> { cluster; clients }
+  | exception e ->
+    Array.iter Client.close clients;
+    raise e
 
-let num_nodes t = Array.length t.nodes
-
-let staleness t =
-  let exact_total = ref 0.0 and drift = ref 0.0 in
-  Array.iter
-    (fun node ->
-      let exact = exact_contribution node in
-      let published =
-        wire_fail "read_node" (Client.read_node node.client node.index)
-      in
-      exact_total := !exact_total +. exact;
-      drift := !drift +. Float.abs (exact -. published))
-    t.nodes;
-  if !exact_total <= 0.0 then 0.0 else !drift /. !exact_total
-
-(* mirrors Cluster.staleness_sample_period — the byte-identity
-   contract needs the two run loops to sample on the same rounds *)
-let staleness_sample_period = 97
-
-let run ?(max_rounds = 10_000_000) t =
-  let rounds = ref 0 in
-  let live = ref (Array.length t.nodes) in
-  while !live > 0 && !rounds < max_rounds do
-    if !rounds mod staleness_sample_period = 0 then
-      Mitos_util.Stats.Online.add t.staleness_samples (staleness t);
-    Array.iter
-      (fun node ->
-        if not node.halted then begin
-          if Engine.step node.engine then begin
-            node.steps_since_sync <- node.steps_since_sync + 1;
-            if node.steps_since_sync >= t.sync_period then sync t node
-          end
-          else begin
-            node.halted <- true;
-            sync t node;
-            decr live
-          end
-        end)
-      t.nodes;
-    incr rounds
-  done;
-  !rounds
-
-let total_propagated t =
-  Array.fold_left
-    (fun acc n -> acc + (Engine.counters n.engine).Engine.ifp_propagated)
-    0 t.nodes
-
-let total_blocked t =
-  Array.fold_left
-    (fun acc n -> acc + (Engine.counters n.engine).Engine.ifp_blocked)
-    0 t.nodes
-
-let syncs_performed t = t.syncs
-let mean_staleness t = Mitos_util.Stats.Online.mean t.staleness_samples
-let close t = Array.iter (fun n -> Client.close n.client) t.nodes
-
-(* -- reports ------------------------------------------------------------ *)
-
-type node_row = {
-  node : int;
-  steps : int;
-  node_propagated : int;
-  node_blocked : int;
-  pollution : float;
-}
-
-type report = {
-  nodes : int;
-  sync_period : int;
-  rounds : int;
-  propagated : int;
-  blocked : int;
-  syncs : int;
-  mean_staleness_pct : float;
-  global : float;
-  per_node : node_row list;
-}
-
-let row_of_engine ~index ~pollution engine =
-  let c = Engine.counters engine in
-  {
-    node = index;
-    steps = c.Engine.steps;
-    node_propagated = c.Engine.ifp_propagated;
-    node_blocked = c.Engine.ifp_blocked;
-    pollution;
-  }
-
-let report_of_cluster ~rounds c =
-  let engines = Cluster.engines c in
-  {
-    nodes = Cluster.num_nodes c;
-    sync_period = Cluster.sync_period c;
-    rounds;
-    propagated = Cluster.total_propagated c;
-    blocked = Cluster.total_blocked c;
-    syncs = Cluster.syncs_performed c;
-    mean_staleness_pct = 100.0 *. Cluster.mean_staleness c;
-    global = Estimator.global (Cluster.estimator c);
-    per_node =
-      List.init (Array.length engines) (fun i ->
-          row_of_engine ~index:i
-            ~pollution:(Cluster.local_pollution c ~node:i)
-            engines.(i));
-  }
-
-let report_of_net ~rounds t =
-  {
-    nodes = num_nodes t;
-    sync_period = t.sync_period;
-    rounds;
-    propagated = total_propagated t;
-    blocked = total_blocked t;
-    syncs = syncs_performed t;
-    mean_staleness_pct = 100.0 *. mean_staleness t;
-    global =
-      (match t.nodes with
-      | [||] -> 0.0
-      | nodes -> wire_fail "read_global" (Client.global nodes.(0).client));
-    per_node =
-      List.init (Array.length t.nodes) (fun i ->
-          row_of_engine ~index:t.nodes.(i).index
-            ~pollution:(exact_contribution t.nodes.(i))
-            t.nodes.(i).engine);
-  }
-
-let render r =
-  let f = Mitos_obs.Registry.fmt_value in
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf "cluster: nodes=%d sync_period=%d rounds=%d\n" r.nodes
-       r.sync_period r.rounds);
-  Buffer.add_string b
-    (Printf.sprintf "ifp: propagated=%d blocked=%d\n" r.propagated r.blocked);
-  Buffer.add_string b
-    (Printf.sprintf "sync: publishes=%d mean_staleness_pct=%s global=%s\n"
-       r.syncs
-       (f r.mean_staleness_pct)
-       (f r.global));
-  List.iter
-    (fun row ->
-      Buffer.add_string b
-        (Printf.sprintf "node %d: steps=%d propagated=%d blocked=%d pollution=%s\n"
-           row.node row.steps row.node_propagated row.node_blocked
-           (f row.pollution)))
-    r.per_node;
-  Buffer.contents b
+let cluster t = t.cluster

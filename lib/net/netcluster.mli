@@ -1,23 +1,20 @@
-(** The wire-backed twin of {!Mitos_distrib.Cluster}.
+(** A {!Mitos_distrib.Cluster} whose global pollution scalar lives in
+    a {!Server}'s estimator, reached through one {!Client} per node:
+    nodes [Publish] on their sync cadence and the policies' pollution
+    source issues [Read_global] per decision.
 
-    Same deployment model — every node runs its own workload and
-    engine, decides under its own exact local counts, and reads the
-    shared global pollution scalar — but the scalar lives in a
-    {!Server}'s estimator reached through a {!Client} instead of a
-    shared in-process array: nodes [Publish] on their sync cadence and
-    the policies' pollution source issues [Read_global] per decision.
+    This module only does the wire work — it connects the clients and
+    hands them to {!Mitos_distrib.Cluster.create_over}; running and
+    reporting go through [Cluster] itself.
 
-    {b Determinism contract.} Over a [Memory] (loopback) endpoint this
-    module replays {!Mitos_distrib.Cluster.run} {e exactly}: the
-    round-robin order, the sync cadence, the publish-on-halt, and the
-    staleness sampling every 97 rounds are the same code shape, the
-    loopback invokes the server handler synchronously on the calling
-    domain, and floats cross the wire as 64-bit IEEE images — so the
-    decisions, the counters, and hence {!render}ed {!report}s are
-    byte-identical to the in-process cluster on the same seeds and
-    sync period, at any [--jobs]. The CI cluster-diff job asserts
-    this. Over TCP the semantics are the same but timing-dependent
-    staleness makes no byte promise.
+    {b Determinism.} There is one run loop, so over a [Memory]
+    (loopback) endpoint — which invokes the server handler
+    synchronously on the calling domain, with floats crossing the wire
+    as 64-bit IEEE images — {!Mitos_distrib.Cluster.report} is
+    byte-identical to an in-process cluster's on the same seeds, sync
+    period and estimator shard count, at any [--jobs]. Over TCP the
+    semantics are the same but timing-dependent staleness makes no
+    byte promise.
 
     Wire failures mid-run raise [Failure] — a lost coordinator has no
     deterministic recovery. *)
@@ -34,54 +31,14 @@ val create :
   Mitos_workload.Workload.built list ->
   t
 (** Connect one client per node to the decision server at [endpoint]
-    (whose estimator must have at least as many slots as there are
-    nodes — publishes fail otherwise). [index_base] offsets the
-    estimator slots the nodes publish to — a multi-process deployment
-    gives each [mitos-cli node] process its own slot range; default 0.
-    Raises [Failure] if a connection cannot be established,
-    [Invalid_argument] on an empty node list or [sync_period < 1]. *)
+    (whose estimator must have a slot for every node — publishes fail
+    otherwise). [index_base] is the first node's estimator slot — a
+    multi-process deployment gives each [mitos-cli node] process its
+    own slot range; default 0. Raises [Failure] if a connection cannot
+    be established, [Invalid_argument] on an empty node list,
+    [sync_period < 1] or a negative [index_base]. *)
 
-val run : ?max_rounds:int -> t -> int
-(** Round-robin until every node halts; returns rounds executed. *)
-
-val num_nodes : t -> int
-val total_propagated : t -> int
-val total_blocked : t -> int
-val syncs_performed : t -> int
-val mean_staleness : t -> float
+val cluster : t -> Mitos_distrib.Cluster.t
 
 val close : t -> unit
 (** Close the node clients. *)
-
-(** {1 Reports}
-
-    One deterministic record renderable from either implementation —
-    the artifact the byte-identity check diffs. No wall times, no
-    transport names, nothing environment-dependent. *)
-
-type node_row = {
-  node : int;
-  steps : int;
-  node_propagated : int;
-  node_blocked : int;
-  pollution : float;  (** exact local contribution at the end *)
-}
-
-type report = {
-  nodes : int;
-  sync_period : int;
-  rounds : int;
-  propagated : int;
-  blocked : int;
-  syncs : int;
-  mean_staleness_pct : float;
-  global : float;  (** global pollution after the final publishes *)
-  per_node : node_row list;
-}
-
-val report_of_cluster : rounds:int -> Mitos_distrib.Cluster.t -> report
-val report_of_net : rounds:int -> t -> report
-
-val render : report -> string
-(** Canonical text rendering (floats through
-    {!Mitos_obs.Registry.fmt_value}); byte-comparable. *)

@@ -71,28 +71,31 @@ type breach = { breach_rule : rule; value : float; at : float }
    a sustained breach is recorded once, not once per sample. *)
 type rule_state = { r : rule; mutable violated : bool }
 
+(* Breach history kept for rendering — the newest ones, the same
+   size as the alert engine's incident ring — so a flapping rule on a
+   long-lived server cannot grow /healthz without bound. *)
+let breach_history = 1024
+
 type t = {
   window : float;
-  capacity : int option;  (* per-signal Timeseries retention *)
-  max_age : float option;
   states : rule_state list;
   series : (string, Timeseries.t) Hashtbl.t;
   mutable order : string list;  (* first-observation order, reversed *)
-  mutable rev_breaches : breach list;
+  recent_breaches : breach Queue.t;  (* oldest first, <= breach_history *)
+  mutable breaches_total : int;
   mutable observations : int;
   mutable tracer : Tracer.t option;
 }
 
-let create ?(window = 0.0) ?capacity ?max_age ~rules () =
+let create ?(window = 0.0) ~rules () =
   if window < 0.0 then invalid_arg "Health.create: negative window";
   {
     window;
-    capacity;
-    max_age;
     states = List.map (fun r -> { r; violated = false }) rules;
     series = Hashtbl.create 8;
     order = [];
-    rev_breaches = [];
+    recent_breaches = Queue.create ();
+    breaches_total = 0;
     observations = 0;
     tracer = None;
   }
@@ -104,9 +107,7 @@ let series_of t name =
   match Hashtbl.find_opt t.series name with
   | Some ts -> ts
   | None ->
-    let ts =
-      Timeseries.create ~name ?capacity:t.capacity ?max_age:t.max_age ()
-    in
+    let ts = Timeseries.create ~name () in
     Hashtbl.add t.series name ts;
     t.order <- name :: t.order;
     ts
@@ -140,8 +141,10 @@ let observe t ~at signals =
       | Some value ->
         let ok = holds st.r.cmp value st.r.bound in
         if (not ok) && not st.violated then begin
-          t.rev_breaches <-
-            { breach_rule = st.r; value; at } :: t.rev_breaches;
+          Queue.add { breach_rule = st.r; value; at } t.recent_breaches;
+          if Queue.length t.recent_breaches > breach_history then
+            ignore (Queue.take t.recent_breaches);
+          t.breaches_total <- t.breaches_total + 1;
           match t.tracer with
           | None -> ()
           | Some tracer ->
@@ -168,7 +171,7 @@ let current_breaches t =
       else None)
     t.states
 
-let breaches t = List.rev t.rev_breaches
+let breaches t = List.of_seq (Queue.to_seq t.recent_breaches)
 let healthy t = List.for_all (fun st -> not st.violated) t.states
 let status_code t = if healthy t then 200 else 503
 
@@ -199,7 +202,7 @@ let render_detail t =
     t.states;
   Buffer.add_string buf
     (Printf.sprintf "observations: %d\nbreaches_total: %d\n" t.observations
-       (List.length t.rev_breaches));
+       t.breaches_total);
   List.iter
     (fun b ->
       Buffer.add_string buf

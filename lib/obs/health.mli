@@ -53,17 +53,13 @@ type breach = { breach_rule : rule; value : float; at : float }
 
 type t
 
-val create :
-  ?window:float -> ?capacity:int -> ?max_age:float -> rules:rule list ->
-  unit -> t
+val create : ?window:float -> rules:rule list -> unit -> t
 (** [window] selects what a rule judges: [0.0] (the default) judges
     the latest sample of the signal; a positive window judges the mean
     of samples with [time >= at - window] (via
     {!Mitos_util.Timeseries.window_mean}). Raises [Invalid_argument]
-    on a negative window. [capacity]/[max_age] bound each signal's
-    retained samples (forwarded to {!Mitos_util.Timeseries.create};
-    the generous Timeseries defaults apply when omitted), so a
-    long-lived server's watchdog stops growing without bound. *)
+    on a negative window. Each signal keeps the bounded
+    {!Mitos_util.Timeseries} default retention. *)
 
 val rules : t -> rule list
 
@@ -85,7 +81,10 @@ val current_breaches : t -> (rule * float) list
     violated them; [] when healthy. *)
 
 val breaches : t -> breach list
-(** Every ok→breach transition so far, oldest first. *)
+(** The newest 1024 ok→breach transitions, oldest first — the same
+    bound as {!Alerts}' incident ring, so a flapping rule cannot grow
+    {!render} or {!to_json} without limit. [breaches_total] in
+    {!render} still counts every transition. *)
 
 val healthy : t -> bool
 (** No rule currently in breach (vacuously true with no rules or no

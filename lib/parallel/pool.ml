@@ -116,8 +116,10 @@ let create ?jobs () =
   pool
 
 (* Run tasks [0, size) and re-raise the first failure after the whole
-   batch has executed — same contract inline and on the pool. *)
-let run_batch pool ~chunk ~size run_task =
+   batch has executed — same contract inline and on the pool. Chunks
+   target ~8 per domain so the tail of a batch load-balances;
+   experiment batches (tens of heavy tasks) always get chunk 1. *)
+let run_batch pool ~size run_task =
   if size > 0 then begin
     let failure =
       if pool.jobs = 1 || Domain.DLS.get in_pool_task then begin
@@ -141,7 +143,7 @@ let run_batch pool ~chunk ~size run_task =
           {
             run_task;
             size;
-            chunk;
+            chunk = max 1 (size / (pool.jobs * 8));
             next = Atomic.make 0;
             finished = Atomic.make 0;
             failure = None;
@@ -168,64 +170,35 @@ let run_batch pool ~chunk ~size run_task =
     match failure with Some exn -> raise exn | None -> ()
   end
 
-(* Target ~8 chunks per domain so the tail of a batch load-balances;
-   experiment batches (tens of heavy tasks) always get chunk 1. *)
-let resolve_chunk chunk ~jobs ~size =
-  match chunk with
-  | Some c -> if c < 1 then invalid_arg "Pool: chunk must be >= 1" else c
-  | None -> max 1 (size / (jobs * 8))
+(* [f 0 .. f (size - 1)] on the pool, results in index order *)
+let init pool size f =
+  let results = Array.make size None in
+  run_batch pool ~size (fun i -> results.(i) <- Some (f i));
+  Array.map (function Some v -> v | None -> assert false) results
 
-let map_array ?chunk pool ~f xs =
-  let size = Array.length xs in
-  if size = 0 then [||]
-  else begin
-    let chunk = resolve_chunk chunk ~jobs:pool.jobs ~size in
-    let results = Array.make size None in
-    run_batch pool ~chunk ~size (fun i -> results.(i) <- Some (f xs.(i)));
-    Array.map (function Some v -> v | None -> assert false) results
-  end
+let map_array pool ~f xs = init pool (Array.length xs) (fun i -> f xs.(i))
+let map pool ~f xs = Array.to_list (map_array pool ~f (Array.of_list xs))
 
-let map ?chunk pool ~f xs =
-  Array.to_list (map_array ?chunk pool ~f (Array.of_list xs))
-
-let mapi ?chunk pool ~f xs =
+let mapi pool ~f xs =
   let xs = Array.of_list xs in
-  let size = Array.length xs in
-  if size = 0 then []
-  else begin
-    let chunk = resolve_chunk chunk ~jobs:pool.jobs ~size in
-    let results = Array.make size None in
-    run_batch pool ~chunk ~size (fun i -> results.(i) <- Some (f i xs.(i)));
-    Array.to_list
-      (Array.map (function Some v -> v | None -> assert false) results)
-  end
+  Array.to_list (init pool (Array.length xs) (fun i -> f i xs.(i)))
 
-let iter ?chunk pool ~f xs = ignore (map ?chunk pool ~f xs)
+let iter pool ~f xs = ignore (map pool ~f xs)
 
-let map_reduce ?chunk pool ~map:f ~combine ~init xs =
-  Array.fold_left combine init (map_array ?chunk pool ~f (Array.of_list xs))
+let map_reduce pool ~map:f ~combine ~init:acc xs =
+  Array.fold_left combine acc (map_array pool ~f (Array.of_list xs))
 
-let map_seeded ?chunk pool ~seed ~f xs =
+let map_seeded pool ~seed ~f xs =
   (* split all streams by index before dispatch: stream i depends
      only on (seed, i), never on scheduling or on [jobs] *)
   let base = Mitos_util.Rng.create seed in
   let xs = Array.of_list xs in
   let rngs = Array.map (fun _ -> Mitos_util.Rng.split base) xs in
-  let size = Array.length xs in
-  if size = 0 then []
-  else begin
-    let chunk = resolve_chunk chunk ~jobs:pool.jobs ~size in
-    let results = Array.make size None in
-    run_batch pool ~chunk ~size (fun i ->
-        results.(i) <- Some (f ~rng:rngs.(i) xs.(i)));
-    Array.to_list
-      (Array.map (function Some v -> v | None -> assert false) results)
-  end
+  Array.to_list
+    (init pool (Array.length xs) (fun i -> f ~rng:rngs.(i) xs.(i)))
 
-let map_opt ?chunk pool ~f xs =
-  match pool with None -> List.map f xs | Some pool -> map ?chunk pool ~f xs
-
-let run_seq _pool f = f ()
+let map_opt pool ~f xs =
+  match pool with None -> List.map f xs | Some pool -> map pool ~f xs
 
 let shutdown pool =
   Mutex.lock pool.submit;

@@ -22,8 +22,8 @@
     submitting domain, which participates) claim contiguous chunks of
     indices off an atomic cursor until the batch drains. Chunking
     amortizes the claim cost for large batches of small tasks; the
-    default chunk targets ~8 chunks per worker and is always 1 for
-    the small, heavy batches the experiment layer produces.
+    chunk size targets ~8 chunks per worker and is always 1 for the
+    small, heavy batches the experiment layer produces.
 
     Nested use: a task that calls back into its own pool (or any
     pool) runs that inner batch inline — the pool never deadlocks on
@@ -52,20 +52,19 @@ val create : ?jobs:int -> unit -> t
 val jobs : t -> int
 (** Parallelism degree, including the submitting domain. *)
 
-val map : ?chunk:int -> t -> f:('a -> 'b) -> 'a list -> 'b list
+val map : t -> f:('a -> 'b) -> 'a list -> 'b list
 (** [map pool ~f xs] = [List.map f xs], computed on the pool.
     Results are in input order. *)
 
-val map_array : ?chunk:int -> t -> f:('a -> 'b) -> 'a array -> 'b array
+val map_array : t -> f:('a -> 'b) -> 'a array -> 'b array
 
-val mapi : ?chunk:int -> t -> f:(int -> 'a -> 'b) -> 'a list -> 'b list
+val mapi : t -> f:(int -> 'a -> 'b) -> 'a list -> 'b list
 
-val iter : ?chunk:int -> t -> f:('a -> unit) -> 'a list -> unit
+val iter : t -> f:('a -> unit) -> 'a list -> unit
 (** Effects of [f] on distinct elements may run concurrently; [f]
     must not share unsynchronized mutable state across elements. *)
 
 val map_reduce :
-  ?chunk:int ->
   t ->
   map:('a -> 'b) ->
   combine:('b -> 'b -> 'b) ->
@@ -77,7 +76,6 @@ val map_reduce :
     non-commutative [combine]. *)
 
 val map_seeded :
-  ?chunk:int ->
   t ->
   seed:int ->
   f:(rng:Mitos_util.Rng.t -> 'a -> 'b) ->
@@ -88,14 +86,10 @@ val map_seeded :
     depend on [jobs] or on scheduling: [map_seeded ~seed] is
     reproducible and identical at any parallelism degree. *)
 
-val map_opt : ?chunk:int -> t option -> f:('a -> 'b) -> 'a list -> 'b list
+val map_opt : t option -> f:('a -> 'b) -> 'a list -> 'b list
 (** [map_opt (Some pool)] is [map pool]; [map_opt None] is
     [List.map]. The experiment layer takes [?pool] arguments and
     funnels through this. *)
-
-val run_seq : t option -> (unit -> 'a) -> 'a
-(** [run_seq pool f] just runs [f ()]; a documentation device for
-    stages that must stay sequential (wall-clock measurements). *)
 
 val shutdown : t -> unit
 (** Join the worker domains. Idempotent. Using the pool after

@@ -602,6 +602,38 @@ let test_health_window () =
   | [] -> ()
   | _ -> Alcotest.fail "no current breach expected"
 
+let test_health_breach_history_bounded () =
+  (* 2000 ok->breach flips: the total counts them all, the kept
+     history and the rendered bodies hold only the newest 1024 *)
+  let r = Health.rule ~signal:"s" ~cmp:Health.Le ~bound:1.0 () in
+  let h = Health.create ~rules:[ r ] () in
+  for i = 1 to 2000 do
+    Health.observe h ~at:(float_of_int (2 * i)) [ ("s", 5.0) ];
+    Health.observe h ~at:(float_of_int ((2 * i) + 1)) [ ("s", 0.0) ]
+  done;
+  let kept = Health.breaches h in
+  Alcotest.(check int) "newest 1024 kept" 1024 (List.length kept);
+  check_float "oldest kept is flip 977" (2.0 *. 977.0)
+    (List.hd kept).Health.at;
+  check_float "newest kept is flip 2000" 4000.0
+    (List.nth kept 1023).Health.at;
+  let body = Health.render h in
+  Alcotest.(check bool) "total counts every flip" true
+    (string_contains body "breaches_total: 2000\n");
+  let count_lines prefix text =
+    List.length
+      (List.filter
+         (String.starts_with ~prefix)
+         (String.split_on_char '\n' text))
+  in
+  Alcotest.(check int) "render lists the kept breaches" 1024
+    (count_lines "breach at " body);
+  let json = Health.to_json h in
+  Alcotest.(check bool) "json keeps flip 977" true
+    (string_contains json "\"at\":1954,");
+  Alcotest.(check bool) "json drops flip 976" false
+    (string_contains json "\"at\":1952,")
+
 let test_health_tracer_instant () =
   let r = Health.rule ~signal:"s" ~cmp:Health.Lt ~bound:1.0 () in
   let h = Health.create ~rules:[ r ] () in
@@ -2004,6 +2036,8 @@ let () =
             test_health_window_pending_signals;
           Alcotest.test_case "tracer instant" `Quick
             test_health_tracer_instant;
+          Alcotest.test_case "breach history bounded" `Quick
+            test_health_breach_history_bounded;
         ] );
       ( "server",
         [

@@ -15,11 +15,7 @@ let test_map_order () =
   Pool.with_pool ~jobs:4 (fun pool ->
       let xs = List.init 100 (fun i -> i) in
       checkil "input order" (List.map (fun x -> x * x) xs)
-        (Pool.map pool ~f:(fun x -> x * x) xs);
-      checkil "chunk=1" (List.map (fun x -> x + 1) xs)
-        (Pool.map ~chunk:1 pool ~f:(fun x -> x + 1) xs);
-      checkil "chunk larger than batch" (List.map (fun x -> -x) xs)
-        (Pool.map ~chunk:1000 pool ~f:(fun x -> -x) xs))
+        (Pool.map pool ~f:(fun x -> x * x) xs))
 
 let test_map_empty_and_singleton () =
   Pool.with_pool ~jobs:3 (fun pool ->
