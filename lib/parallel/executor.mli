@@ -1,58 +1,40 @@
-(** A persistent pool of worker domains draining a task queue.
+(** A persistent set of worker domains draining one task queue.
 
-    {!Pool} is batch-shaped: submit a list, block until every result
-    is back, in order. A network server needs the opposite shape —
-    long-lived workers pulling independent, fire-and-forget tasks
-    (one per accepted connection) as they arrive, with no result to
-    collect and no batch boundary. This module is that executor; the
-    [Mitos_net] decision server runs its per-connection loops on one.
+    A network server needs long-lived workers pulling independent,
+    fire-and-forget tasks (one per accepted connection) as they
+    arrive, with no result to collect and no batch boundary. This
+    module is that executor: the [Mitos_net] decision server runs its
+    per-connection loops on one, and {!Pool} runs its batch drainers
+    on one.
 
-    Tasks run in submission order modulo worker availability; nothing
-    here is deterministic and nothing should be — determinism-sensitive
-    callers use {!Pool}. A task that raises is contained: the exception
-    is counted ({!failures}) and the worker moves on.
+    There is one queue, guarded by one ["executor:<name>"]
+    {!Mitos_obs.Contended} lock, and any idle worker takes the next
+    task, so a worker held by a long-lived task never holds up work
+    behind it while a sibling is idle. Tasks start in submission
+    order modulo worker availability; nothing here is deterministic —
+    determinism-sensitive callers use {!Pool}. A task that raises is
+    contained: the exception is counted ({!failures}) and the worker
+    moves on.
 
     [workers = 0] degenerates to inline execution: {!submit} runs the
     task on the calling domain before returning — the single-domain
     code path {e is} the multi-domain code path, mirroring the pool's
-    [jobs = 1] contract.
-
-    {b Sharding.} Each worker owns its own queue (own lock, own
-    condition variable): {!submit} routes to the least-loaded worker
-    (queued {e plus running} tasks, so a worker held by a long-lived
-    connection loop never shadows an idle sibling),
-    {!submit_to} pins by shard index, and a worker whose queue runs
-    dry steals from its siblings before sleeping — so submitters and
-    workers no longer serialize on a single queue lock, and the pool
-    stays work-conserving. All queue locks share the
-    ["executor:<name>"] {!Mitos_obs.Contended} series. *)
+    [jobs = 1] contract. *)
 
 type t
 
 val create : ?name:string -> workers:int -> unit -> t
 (** Spawn [workers] domains ([0] = run tasks inline in {!submit}).
-    [name] labels error output. Raises [Invalid_argument] if
-    [workers < 0]. *)
-
-val workers : t -> int
+    [name] labels the lock series and error output. Raises
+    [Invalid_argument] if [workers < 0]. *)
 
 val submit : t -> (unit -> unit) -> unit
-(** Enqueue a task on the least-loaded worker queue (or run it inline
-    when [workers = 0]). Raises [Invalid_argument] after
-    {!shutdown}. *)
-
-val submit_to : t -> shard:int -> (unit -> unit) -> unit
-(** Like {!submit} but routed to worker queue [shard mod workers]
-    (any integer is accepted — hash values welcome): an affinity hint
-    for tasks that touch the same sharded state, so they queue behind
-    each other instead of contending. Work stealing may still migrate
-    a pinned task to an idle worker; it is a routing preference, not a
-    placement guarantee. *)
+(** Enqueue a task (or run it inline when [workers = 0]). Raises
+    [Invalid_argument] after {!shutdown}. *)
 
 val pending : t -> int
-(** Tasks enqueued or still running (always 0 when inline). Running
-    work counts so that routing — and anyone watching the pool — sees
-    a worker pinned inside a long-lived task as busy, not idle. *)
+(** Tasks enqueued or still running (always 0 when inline), so a
+    worker pinned inside a long-lived task reads as busy, not idle. *)
 
 val failures : t -> int
 (** Tasks that raised. *)
