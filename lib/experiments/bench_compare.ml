@@ -56,6 +56,12 @@ let gated_metrics =
     ([ "gc_pressure"; "minor_words_per_record" ], Lower_better);
   ]
 
+(* signed so that positive = moved in the bad direction *)
+let bad_delta direction ~old_value ~new_value =
+  match direction with
+  | Lower_better -> new_value -. old_value
+  | Higher_better -> old_value -. new_value
+
 let regressions report = List.filter (fun r -> r.regressed) report.rows
 let ok report = regressions report = []
 
@@ -90,13 +96,15 @@ let of_json ~tolerance_pct ~old_json ~new_json =
               let value j = Option.bind (J.path path j) J.to_float in
               match (value old_j, value new_j) with
               | Some old_value, Some new_value ->
+                let bad = bad_delta direction ~old_value ~new_value in
                 let change_pct =
-                  if old_value = 0.0 then 0.0
-                  else
-                    let raw = (new_value -. old_value) /. old_value *. 100.0 in
-                    match direction with
-                    | Lower_better -> raw
-                    | Higher_better -> -.raw
+                  (* a zero baseline has no scale for a percentage:
+                     any move counts in full, so it can still fail *)
+                  if old_value = 0.0 then
+                    if bad > 0.0 then infinity
+                    else if bad < 0.0 then neg_infinity
+                    else 0.0
+                  else bad /. old_value *. 100.0
                 in
                 let row =
                   {
@@ -130,9 +138,16 @@ let render report =
     (Printf.sprintf "%-40s %14s %14s %9s\n" "metric" "old" "new" "change");
   List.iter
     (fun r ->
+      let change =
+        if r.old_value = 0.0 then
+          Printf.sprintf "%+9.2f abs"
+            (bad_delta r.direction ~old_value:r.old_value
+               ~new_value:r.new_value)
+        else Printf.sprintf "%+8.1f%%" r.change_pct
+      in
       Buffer.add_string buf
-        (Printf.sprintf "%-40s %14.2f %14.2f %+8.1f%%%s\n" r.metric
-           r.old_value r.new_value r.change_pct
+        (Printf.sprintf "%-40s %14.2f %14.2f %s%s\n" r.metric r.old_value
+           r.new_value change
            (if r.regressed then "  << REGRESSION" else "")))
     report.rows;
   List.iter

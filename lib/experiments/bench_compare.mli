@@ -22,7 +22,10 @@ type row = {
   old_value : float;
   new_value : float;
   change_pct : float;
-      (** signed, positive = moved in the {e bad} direction *)
+      (** signed, positive = moved in the {e bad} direction. A zero
+          baseline has no scale, so it is compared in absolute terms:
+          [infinity] when the value moved in the bad direction at all,
+          [neg_infinity] when it improved, [0.0] when unchanged. *)
   regressed : bool;  (** [change_pct > tolerance_pct] *)
 }
 
@@ -50,4 +53,6 @@ val of_files : tolerance_pct:float -> string -> string -> (report, string) resul
 
 val render : report -> string
 (** The human/CI table: one line per row with old/new/change and a
-    verdict line ([ok] or [REGRESSION: n metric(s) ...]). *)
+    verdict line ([ok] or [REGRESSION: n metric(s) ...]). A
+    zero-baseline row shows its absolute change (["+5.00 abs"],
+    positive = bad) instead of a percentage. *)

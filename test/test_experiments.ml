@@ -340,7 +340,7 @@ let test_flowgraph_counts () =
 (* -- bench compare (perf-regression gate) ----------------------------- *)
 
 let bench_json ?(schema = "mitos-bench-decisions/1") ?(fleet_mean = 450000.0)
-    ~alg1_direct ~replay_rps () =
+    ?(gc_words = 120.0) ~alg1_direct ~replay_rps () =
   Printf.sprintf
     {|{
   "schema": "%s",
@@ -354,9 +354,9 @@ let bench_json ?(schema = "mitos-bench-decisions/1") ?(fleet_mean = 450000.0)
   "fleet": { "requests_per_sec": 30000.0, "p99_virtual_ns": 1000000.0 },
   "alert_eval": { "ns_per_observation": 9000.0 },
   "lock_contention": { "uncontended_pair_ns": 40.0 },
-  "gc_pressure": { "minor_words_per_record": 120.0 }
+  "gc_pressure": { "minor_words_per_record": %f }
 }|}
-    schema alg1_direct replay_rps fleet_mean
+    schema alg1_direct replay_rps fleet_mean gc_words
 
 let compare_exn ~tolerance_pct old_json new_json =
   match E.Bench_compare.of_json ~tolerance_pct ~old_json ~new_json with
@@ -433,6 +433,32 @@ let test_bench_compare_reports_all_regressions () =
     regressed;
   Alcotest.(check bool) "summary counts 3" true
     (contains rendered "REGRESSION: 3 metric(s)")
+
+let test_bench_compare_zero_baseline () =
+  (* a zero baseline is compared in absolute terms: a Lower_better row
+     at 0 that becomes 5 regresses at any tolerance, one that stays at
+     0 passes *)
+  let at gc_words =
+    bench_json ~gc_words ~alg1_direct:100.0 ~replay_rps:1e6 ()
+  in
+  let r = compare_exn ~tolerance_pct:25.0 (at 0.0) (at 5.0) in
+  Alcotest.(check (list string)) "0 -> 5 regresses"
+    [ "gc_pressure.minor_words_per_record" ]
+    (List.map
+       (fun row -> row.E.Bench_compare.metric)
+       (E.Bench_compare.regressions r));
+  let rendered = E.Bench_compare.render r in
+  let contains needle =
+    let n = String.length needle and h = String.length rendered in
+    let rec go i =
+      i + n <= h && (String.sub rendered i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "render shows the absolute change" true
+    (contains "+5.00 abs");
+  Alcotest.(check bool) "0 -> 0 passes" true
+    (E.Bench_compare.ok (compare_exn ~tolerance_pct:25.0 (at 0.0) (at 0.0)))
 
 let test_bench_compare_skipped_and_errors () =
   let old_json = bench_json ~alg1_direct:100.0 ~replay_rps:1e6 () in
@@ -570,5 +596,7 @@ let () =
             test_bench_compare_reports_all_regressions;
           Alcotest.test_case "skipped metrics and errors" `Quick
             test_bench_compare_skipped_and_errors;
+          Alcotest.test_case "zero baseline compares absolutely" `Quick
+            test_bench_compare_zero_baseline;
         ] );
     ]
