@@ -1,6 +1,5 @@
 module Obs = Mitos_obs.Obs
 module Server = Mitos_obs.Server
-module Health = Mitos_obs.Health
 module Alerts = Mitos_obs.Alerts
 module Audit = Mitos_obs.Audit
 module Registry = Mitos_obs.Registry
@@ -10,14 +9,12 @@ module Shadow = Mitos_tag.Shadow
 
 type source = {
   obs : Obs.t;
-  health : Health.t option;
+  slo : Alerts.t option;
   audit : Audit.t option;
   progress : (unit -> Engine.progress) option;
-  alerts : Alerts.t option;
 }
 
-let source ?health ?audit ?progress ?alerts obs =
-  { obs; health; audit; progress; alerts }
+let source ?slo ?audit ?progress obs = { obs; slo; audit; progress }
 
 let progress_json (p : Engine.progress) =
   Printf.sprintf
@@ -40,8 +37,10 @@ let snapshot_json t =
     "{\"progress\":%s,\"audit\":%s,\"health\":%s,\"alerts\":%s,\"metrics\":%s}"
     (opt (fun thunk -> progress_json (thunk ())) t.progress)
     (opt audit_json t.audit)
-    (opt Health.to_json t.health)
-    (opt Alerts.to_json t.alerts)
+    (opt Alerts.healthz_json t.slo)
+    (match t.slo with
+    | Some slo when Alerts.has_burn_rules slo -> Alerts.to_json slo
+    | Some _ | None -> "null")
     (Obs.metrics_json t.obs)
 
 (* Last [n] lines of a JSONL payload (rings are bounded, but live
@@ -55,31 +54,10 @@ let last_lines n s =
   in
   match tail with [] -> "" | _ -> String.concat "\n" tail ^ "\n"
 
-(* One verdict over both judgment layers: the Health watchdog's
-   current breaches AND the burn-rate alert engine's firing set. The
-   body keeps the Health.render shape (verdict, then attribution
-   lines, then detail) with the [firing: NAME severity=SEV] lines
-   spliced in after the breaching lines, so existing probes that grep
-   the first line keep working and watch/Fleet can attribute either
-   kind of failure from the body alone. *)
 let health_verdict t =
-  match (t.health, t.alerts) with
-  | None, None -> (true, "status: ok (no SLO rules attached)\n")
-  | health, alerts ->
-    let health_ok =
-      match health with None -> true | Some h -> Health.healthy h
-    in
-    let alerts_ok =
-      match alerts with None -> true | Some a -> not (Alerts.any_firing a)
-    in
-    let ok = health_ok && alerts_ok in
-    let body =
-      (if ok then "status: ok\n" else "status: breach\n")
-      ^ (match health with None -> "" | Some h -> Health.breaching_lines h)
-      ^ (match alerts with None -> "" | Some a -> Alerts.render_firing a)
-      ^ (match health with None -> "" | Some h -> Health.render_detail h)
-    in
-    (ok, body)
+  match t.slo with
+  | None -> (true, "status: ok (no SLO rules attached)\n")
+  | Some slo -> Alerts.healthz slo
 
 let healthz_payload t () =
   let ok, body = health_verdict t in
@@ -127,7 +105,7 @@ let routes ?(last = 256) ?pid t =
         | None -> Server.text "no audit recorder attached\n"
         | Some recorder -> Server.text (last_lines last (Audit.to_jsonl recorder)));
   ]
-  @ (match t.alerts with None -> [] | Some a -> Alerts.routes a)
+  @ match t.slo with None -> [] | Some slo -> Alerts.routes slo
 
 (* -- Standard signals ------------------------------------------------ *)
 
@@ -180,9 +158,9 @@ let standard_signals ?over_taint_bound ~obs engine (s : Metrics.sample) =
 
 let default_rules =
   [
-    Health.rule ~signal:"over_taint_ratio" ~cmp:Health.Le ~bound:1.0 ();
-    Health.rule ~signal:"eviction_rate" ~cmp:Health.Le ~bound:0.5 ();
-    Health.rule ~signal:"tag_space_occupancy" ~cmp:Health.Le ~bound:0.9 ();
+    Alerts.threshold ~signal:"over_taint_ratio" ~cmp:Alerts.Le ~bound:1.0 ();
+    Alerts.threshold ~signal:"eviction_rate" ~cmp:Alerts.Le ~bound:0.5 ();
+    Alerts.threshold ~signal:"tag_space_occupancy" ~cmp:Alerts.Le ~bound:0.9 ();
   ]
 
 (* -- The pilot run --------------------------------------------------- *)
@@ -247,15 +225,15 @@ let pilot ?params ?rules ?(window = 0.0) ?clock ?(sample_every = 256)
        "mitos_sweep_over_taint_bound")
     over_taint_bound;
   let rules = match rules with Some r -> r | None -> default_rules in
-  let health = Health.create ~window ~rules () in
-  Health.link_tracer health (Obs.tracer obs);
+  let slo = Alerts.create ~window ~rules () in
+  Alerts.link_tracer slo (Obs.tracer obs);
   let audit = Audit.create ~capacity:audit_capacity () in
   let engine_cell = ref None in
   let observe (s : Metrics.sample) =
     match !engine_cell with
     | None -> ()
     | Some engine ->
-      Health.observe health ~at:(float_of_int s.Metrics.at_step)
+      Alerts.observe slo ~at:(float_of_int s.Metrics.at_step)
         (standard_signals ~over_taint_bound ~obs engine s)
   in
   let engine =
@@ -276,7 +254,7 @@ let pilot ?params ?rules ?(window = 0.0) ?clock ?(sample_every = 256)
         ignore (Driver.run ~obs trace ~f:(Engine.process_record engine)))
   in
   let src =
-    source ~health ~audit
+    source ~slo ~audit
       ~progress:(fun () -> Engine.progress engine)
       obs
   in

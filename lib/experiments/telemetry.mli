@@ -1,5 +1,5 @@
 (** The standard telemetry surface: glue between a running
-    engine/obs/audit/health stack and the {!Mitos_obs.Server} routes
+    engine/obs/audit/SLO stack and the {!Mitos_obs.Server} routes
     every long-running invocation exposes.
 
     This module owns three things:
@@ -7,11 +7,12 @@
     - the {e route set} — [/metrics], [/healthz], [/snapshot.json],
       [/tracez], [/auditz] — built from whatever parts of the stack
       the caller has ([None] parts degrade to honest placeholders);
-    - the {e standard signals} fed to {!Mitos_obs.Health} at every
+    - the {e standard signals} fed to the one SLO engine
+      ({!Mitos_obs.Alerts}) at every
       {!Mitos_dift.Metrics.attach_sampler} observation (over-taint
       ratio vs. the propagate-all bound, decision-latency p50/p99,
       eviction rate, tag-space occupancy);
-    - the {e default SLO rules} over those signals.
+    - the {e default threshold rules} over those signals.
 
     Route payload thunks obey the {!Mitos_obs.Server} hot-path
     contract: they only read (registry exposition under its creation
@@ -22,35 +23,34 @@
 
 type source = {
   obs : Mitos_obs.Obs.t;
-  health : Mitos_obs.Health.t option;
+  slo : Mitos_obs.Alerts.t option;  (** threshold and burn-rate rules *)
   audit : Mitos_obs.Audit.t option;
   progress : (unit -> Mitos_dift.Engine.progress) option;
-  alerts : Mitos_obs.Alerts.t option;
 }
 
 val source :
-  ?health:Mitos_obs.Health.t ->
+  ?slo:Mitos_obs.Alerts.t ->
   ?audit:Mitos_obs.Audit.t ->
   ?progress:(unit -> Mitos_dift.Engine.progress) ->
-  ?alerts:Mitos_obs.Alerts.t ->
   Mitos_obs.Obs.t ->
   source
 
 val health_verdict : source -> bool * string
-(** The composed [/healthz] verdict over both judgment layers: healthy
-    iff no {!Mitos_obs.Health} rule is breaching {e and} no
-    {!Mitos_obs.Alerts} rule is firing. The body is the verdict line,
-    the health [breaching: NAME] lines, the alert
-    [firing: NAME severity=SEV] lines, then the health detail — also
-    what [mitos-cli serve-decisions] answers health probes with. With
-    neither layer attached, a plain ok liveness line. *)
+(** The [/healthz] verdict: {!Mitos_obs.Alerts.healthz} of the SLO
+    engine — healthy iff no threshold rule is breaching and no
+    burn-rate rule is firing — also what [mitos-cli serve-decisions]
+    answers health probes with. Without an engine, a plain ok
+    liveness line. *)
 
 val progress_json : Mitos_dift.Engine.progress -> string
 (** One JSON object, canonical field order and number formatting. *)
 
 val snapshot_json : source -> string
 (** The [/snapshot.json] body: [{"progress":…,"audit":…,"health":…,
-    "alerts":…,"metrics":…}] with [null] for absent parts. *)
+    "alerts":…,"metrics":…}] with [null] for absent parts. ["health"]
+    is the engine's {!Mitos_obs.Alerts.healthz_json}; ["alerts"] its
+    {!Mitos_obs.Alerts.to_json}, present only with a burn-rate
+    rule. *)
 
 val routes : ?last:int -> ?pid:int -> source -> Mitos_obs.Server.route list
 (** The standard five routes, in fixed order, with their oneshot file
@@ -61,11 +61,10 @@ val routes : ?last:int -> ?pid:int -> source -> Mitos_obs.Server.route list
     server so client and server traces concatenate into one Chrome
     timeline), and [/tracez?trace_id=<32-hex>] keeps only the spans of
     one distributed trace — filtered before the tail, so a stitched
-    trace survives ring pressure. Without a health watchdog [/healthz]
-    is a plain 200 liveness probe; with an alert engine attached the
-    [/alerts], [/query] and [/alertz] routes are appended and
-    [/healthz] folds alert firing into its verdict
-    (see {!health_verdict}). *)
+    trace survives ring pressure. Without an SLO engine [/healthz] is
+    a plain 200 liveness probe; with a burn-rate rule in the engine
+    the [/alerts], [/query] and [/alertz] routes are appended (see
+    {!health_verdict}). *)
 
 (** {1 Standard signals and rules} *)
 
@@ -86,8 +85,8 @@ val standard_signals :
     [distinct_tags]. Call from the sampler's [observe] callback — it
     reads shadow state and must stay on the run's domain. *)
 
-val default_rules : Mitos_obs.Health.rule list
-(** A conservative default rule set over the standard signals:
+val default_rules : Mitos_obs.Alerts.rule list
+(** A conservative default threshold rule set over the standard signals:
     [over_taint_ratio<=1] (a decisioning policy must not exceed the
     propagate-all bound), [eviction_rate<=0.5] and
     [tag_space_occupancy<=0.9] (taint churn sanity). Extend or
@@ -101,7 +100,7 @@ val default_rules : Mitos_obs.Health.rule list
     to publish per-policy [mitos_sweep_*] gauges and obtain the
     propagate-all over-taint bound, then set up an audited and
     instrumented MITOS replay of the same trace on the calling domain
-    whose sampler feeds {!standard_signals} into a health watchdog.
+    whose sampler feeds {!standard_signals} into an SLO engine.
 
     Everything that writes to the obs context happens on the calling
     domain under the supplied clock (logical by default), so a
@@ -110,7 +109,7 @@ val default_rules : Mitos_obs.Health.rule list
     touch the obs context or the global decision probes. *)
 
 type pilot = {
-  src : source;  (** health, audit and progress all populated *)
+  src : source;  (** SLO engine, audit and progress all populated *)
   engine : Mitos_dift.Engine.t;  (** the MITOS replay engine *)
   replay : unit -> unit;
       (** Drive the audited replay (call once). Sets the global
@@ -122,7 +121,7 @@ type pilot = {
 
 val pilot :
   ?params:Mitos.Params.t ->
-  ?rules:Mitos_obs.Health.rule list ->
+  ?rules:Mitos_obs.Alerts.rule list ->
   ?window:float ->
   ?clock:Mitos_obs.Obs_clock.t ->
   ?sample_every:int ->
@@ -135,4 +134,5 @@ val pilot :
     per sweep policy, possibly concurrently, plus once for the MITOS
     replay — deterministic workload builders are). [rules] defaults
     to {!default_rules}; [sample_every] (default 256) paces both the
-    engine sampler and the health observations. *)
+    engine sampler and the SLO observations. [window] is the
+    engine's threshold window ({!Mitos_obs.Alerts.create}). *)

@@ -25,8 +25,7 @@ type node_state = {
 type t = {
   nodes : node_state list;
   stale_after : float;
-  fleet_health : Health.t option;
-  fleet_alerts : Alerts.t option;
+  fleet_slo : Alerts.t option;
   mutable last_at : float;
   mutable scrapes : int;
   mutable merged_snapshot : Snapshot.t;
@@ -34,9 +33,9 @@ type t = {
 }
 
 let default_rules =
-  [ Health.rule ~signal:"fleet_unreachable" ~cmp:Health.Le ~bound:0.0 () ]
+  [ Alerts.threshold ~signal:"fleet_unreachable" ~cmp:Alerts.Le ~bound:0.0 () ]
 
-let create ?(stale_after = 60.0) ?health ?alerts nodes =
+let create ?(stale_after = 60.0) ?slo nodes =
   if nodes = [] then invalid_arg "Fleet.create: need at least one node";
   if stale_after <= 0.0 then
     invalid_arg "Fleet.create: stale_after must be positive";
@@ -58,16 +57,14 @@ let create ?(stale_after = 60.0) ?health ?alerts nodes =
           })
         nodes;
     stale_after;
-    fleet_health = health;
-    fleet_alerts = alerts;
+    fleet_slo = slo;
     last_at = nan;
     scrapes = 0;
     merged_snapshot = [];
     last_signals = [];
   }
 
-let health t = t.fleet_health
-let alerts t = t.fleet_alerts
+let slo t = t.fleet_slo
 let stale_after t = t.stale_after
 let scrapes t = t.scrapes
 
@@ -251,12 +248,7 @@ let scrape t ~at =
       (List.map (fun (ns, r) -> (ns.node_id, r.snapshot)) (fresh_reports t));
   let signals = compute_signals t in
   t.last_signals <- signals;
-  (match t.fleet_health with
-  | None -> ()
-  | Some h -> Health.observe h ~at signals);
-  match t.fleet_alerts with
-  | None -> ()
-  | Some a -> Alerts.observe a ~at signals
+  Option.iter (fun slo -> Alerts.observe slo ~at signals) t.fleet_slo
 
 let merged t = t.merged_snapshot
 let signals t = t.last_signals
@@ -396,38 +388,25 @@ let offenders t =
 
 let healthy t =
   offenders t = []
-  && (match t.fleet_health with None -> true | Some h -> Health.healthy h)
-  && match t.fleet_alerts with
-     | None -> true
-     | Some a -> not (Alerts.any_firing a)
+  && match t.fleet_slo with None -> true | Some slo -> Alerts.healthy slo
 
 let status_code t = if healthy t then 200 else 503
 
 let render_health t =
   let buf = Buffer.create 512 in
-  (match offenders t with
-  | (node, why) :: _ -> (
-    Buffer.add_string buf
-      (Printf.sprintf "status: breach (node %s %s)\n" node why))
-  | [] -> (
-    match t.fleet_health with
-    | Some h when not (Health.healthy h) -> (
-      match Health.current_breaches h with
-      | (r, _) :: _ ->
-        Buffer.add_string buf
-          (Printf.sprintf "status: breach (fleet rule %s)\n"
-             (Health.rule_to_string r))
-      | [] -> Buffer.add_string buf "status: breach\n")
-    | Some _ | None -> (
-      match t.fleet_alerts with
-      | Some a when Alerts.any_firing a -> (
-        match Alerts.firing a with
-        | (r, _) :: _ ->
-          Buffer.add_string buf
-            (Printf.sprintf "status: breach (fleet alert %s)\n"
-               r.Alerts.alert_name)
-        | [] -> Buffer.add_string buf "status: breach\n")
-      | Some _ | None -> Buffer.add_string buf "status: ok\n")));
+  Buffer.add_string buf
+    (match (offenders t, t.fleet_slo) with
+    | (node, why) :: _, _ ->
+      Printf.sprintf "status: breach (node %s %s)\n" node why
+    | [], Some slo -> (
+      match (Alerts.breaching slo, Alerts.firing slo) with
+      | (r, _) :: _, _ ->
+        Printf.sprintf "status: breach (fleet rule %s)\n"
+          (Alerts.rule_to_string r)
+      | [], (r, _) :: _ ->
+        Printf.sprintf "status: breach (fleet alert %s)\n" r.Alerts.alert_name
+      | [], [] -> "status: ok\n")
+    | [], None -> "status: ok\n");
   List.iter
     (fun ns ->
       let v = view t ns in
@@ -454,18 +433,16 @@ let render_health t =
                v.node_id))
         v.node_firing)
     t.nodes;
-  (match t.fleet_health with
-  | None -> ()
-  | Some h ->
-    Buffer.add_string buf "fleet rules:\n";
-    Buffer.add_string buf (Health.render h));
-  (match t.fleet_alerts with
-  | None -> ()
-  | Some a ->
-    Buffer.add_string buf "fleet alerts:\n";
-    let lines = Alerts.render_firing a in
-    Buffer.add_string buf
-      (if lines = "" then "(none firing)\n" else lines));
+  Option.iter
+    (fun slo ->
+      Buffer.add_string buf "fleet rules:\n";
+      Buffer.add_string buf (Alerts.render_rules slo);
+      if Alerts.has_burn_rules slo then begin
+        Buffer.add_string buf "fleet alerts:\n";
+        let lines = Alerts.render_firing slo in
+        Buffer.add_string buf (if lines = "" then "(none firing)\n" else lines)
+      end)
+    t.fleet_slo;
   Buffer.contents buf
 
 (* -- /fleet.json -------------------------------------------------------- *)
@@ -515,9 +492,9 @@ let fleet_json t =
   Printf.sprintf
     "{\"alerts\":%s,\"healthy\":%b,\"merged\":%s,\"nodes\":[%s],\
      \"scrapes\":%d,\"signals\":{%s},\"stale_after\":%s}"
-    (match t.fleet_alerts with
-    | None -> "null"
-    | Some a -> Alerts.to_json a)
+    (match t.fleet_slo with
+    | Some slo when Alerts.has_burn_rules slo -> Alerts.to_json slo
+    | Some _ | None -> "null")
     (healthy t)
     (Snapshot.to_json t.merged_snapshot)
     (String.concat "," (List.map (node_json t) t.nodes))
@@ -543,4 +520,4 @@ let routes t =
       ~describe:"worst-of-fleet SLO verdict" "/healthz" (fun () ->
         Server.text ~status:(status_code t) (render_health t));
   ]
-  @ (match t.fleet_alerts with None -> [] | Some a -> Alerts.routes a)
+  @ match t.fleet_slo with None -> [] | Some slo -> Alerts.routes slo
