@@ -120,14 +120,6 @@ let downsample t k =
     out
   end
 
-let window_mean t ~from_time =
-  let acc = ref 0.0 and n = ref 0 in
-  for i = first_at_or_after t from_time to t.len - 1 do
-    acc := !acc +. get_value t i;
-    incr n
-  done;
-  if !n = 0 then 0.0 else !acc /. float_of_int !n
-
 let spark_chars = [| " "; "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83";
                      "\xe2\x96\x84"; "\xe2\x96\x85"; "\xe2\x96\x86";
                      "\xe2\x96\x87"; "\xe2\x96\x88" |]

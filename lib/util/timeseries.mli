@@ -53,9 +53,6 @@ val downsample : t -> int -> (float * float) array
 (** [downsample t k] returns at most [k] samples spread evenly over the
     retained series (bucket means of the values, bucket-end times). *)
 
-val window_mean : t -> from_time:float -> float
-(** Mean of retained values with time >= [from_time]; 0 if none. *)
-
 val sparkline : t -> int -> string
 (** Unicode sparkline of at most [width] buckets; handy in console
     reports. *)

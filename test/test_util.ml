@@ -393,76 +393,16 @@ let test_timeseries_downsample () =
     (fun (_, v) -> check_float "bucket mean of ones" 1.0 v)
     (Timeseries.downsample ts 7)
 
-let test_timeseries_window_mean () =
-  let ts = Timeseries.create () in
-  Timeseries.add ts 0.0 10.0;
-  Timeseries.add ts 5.0 20.0;
-  Timeseries.add ts 10.0 30.0;
-  check_float "from 5" 25.0 (Timeseries.window_mean ts ~from_time:5.0);
-  check_float "empty window" 0.0 (Timeseries.window_mean ts ~from_time:99.0)
-
-let test_timeseries_window_fold () =
-  (* the health-watchdog pattern: a sliding window folded over the
-     series as samples stream in — the trailing mean must track only
-     the samples inside the window *)
-  let ts = Timeseries.create () in
-  let window = 10.0 in
-  let expected t =
-    (* mean of f(u) = u over [t - window, t] restricted to the sample
-       grid 0, 2, 4, ... *)
-    let lo = t -. window in
-    let samples = ref [] in
-    let u = ref 0.0 in
-    while !u <= t do
-      if !u >= lo then samples := !u :: !samples;
-      u := !u +. 2.0
-    done;
-    List.fold_left ( +. ) 0.0 !samples /. float_of_int (List.length !samples)
-  in
-  let t = ref 0.0 in
-  while !t <= 40.0 do
-    Timeseries.add ts !t !t;
-    check_float "trailing mean" (expected !t)
-      (Timeseries.window_mean ts ~from_time:(!t -. window));
-    t := !t +. 2.0
-  done
-
 let test_timeseries_empty_singleton () =
   let ts = Timeseries.create () in
   Alcotest.(check (option (pair (float 0.0) (float 0.0)))) "empty last"
     None (Timeseries.last ts);
-  check_float "empty window mean" 0.0 (Timeseries.window_mean ts ~from_time:0.0);
   Alcotest.(check int) "empty downsample" 0
     (Array.length (Timeseries.downsample ts 4));
   Timeseries.add ts 3.0 7.0;
   Alcotest.(check int) "singleton length" 1 (Timeseries.length ts);
-  check_float "singleton window covers" 7.0
-    (Timeseries.window_mean ts ~from_time:0.0);
-  check_float "singleton window boundary" 7.0
-    (Timeseries.window_mean ts ~from_time:3.0);
-  check_float "singleton window past" 0.0
-    (Timeseries.window_mean ts ~from_time:3.5)
-
-let qcheck_timeseries_window_mean_bounds =
-  QCheck.Test.make ~name:"window mean within sample bounds (monotonic time)"
-    ~count:200
-    QCheck.(small_list (pair (float_bound_exclusive 100.0) (float_range (-5.0) 5.0)))
-    (fun samples ->
-      QCheck.assume (samples <> []);
-      let ts = Timeseries.create () in
-      (* enforce monotonic time by accumulating the (non-negative)
-         deltas, matching how every producer in the tree calls add *)
-      let t = ref 0.0 in
-      List.iter
-        (fun (dt, v) ->
-          t := !t +. Float.abs dt;
-          Timeseries.add ts !t v)
-        samples;
-      let values = List.map snd samples in
-      let lo = List.fold_left Float.min infinity values in
-      let hi = List.fold_left Float.max neg_infinity values in
-      let m = Timeseries.window_mean ts ~from_time:0.0 in
-      m >= lo -. 1e-9 && m <= hi +. 1e-9)
+  Alcotest.(check (option (pair (float 0.0) (float 0.0)))) "singleton last"
+    (Some (3.0, 7.0)) (Timeseries.last ts)
 
 let test_timeseries_capacity_retention () =
   let ts = Timeseries.create ~capacity:8 () in
@@ -691,8 +631,6 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_timeseries_basics;
           Alcotest.test_case "downsample" `Quick test_timeseries_downsample;
-          Alcotest.test_case "window mean" `Quick test_timeseries_window_mean;
-          Alcotest.test_case "window fold" `Quick test_timeseries_window_fold;
           Alcotest.test_case "empty/singleton" `Quick
             test_timeseries_empty_singleton;
           Alcotest.test_case "sparkline" `Quick test_timeseries_sparkline;
@@ -705,7 +643,6 @@ let () =
             test_timeseries_first_at_or_after;
           Alcotest.test_case "bad retention args" `Quick
             test_timeseries_bad_retention_args;
-          q qcheck_timeseries_window_mean_bounds;
           q qcheck_timeseries_retention_newest;
           q qcheck_timeseries_times_sorted;
         ] );
