@@ -46,7 +46,7 @@ type t = {
   decided : int Atomic.t;
   publishes : int Atomic.t;
   (* What Query_telemetry reports as the node's own SLO verdict;
-     replaced by [set_health_probe] when a health watchdog is wired
+     replaced by [set_health_probe] when an SLO engine is wired
      in. Read on whichever worker domain serves the request, so
      probes must be safe to call from any domain. *)
   mutable health_probe : unit -> bool * string;

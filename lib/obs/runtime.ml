@@ -38,7 +38,7 @@ let sample reg =
   sample_gc reg;
   export_locks reg
 
-(* Health-rule signals: one contention-share signal per lock name.
+(* SLO-rule signals: one contention-share signal per lock name.
    Signal names must be stable identifiers, so lock names are
    sanitized to [a-z0-9_]. *)
 let sanitize name =

@@ -22,7 +22,7 @@ val sample : Registry.t -> unit
 (** {!sample_gc} plus {!export_locks}. *)
 
 val signals : unit -> (string * float) list
-(** Health-rule signals ["lock_<name>_contention"]: contended share of
+(** SLO-rule signals ["lock_<name>_contention"]: contended share of
     acquisitions per lock, in [0, 1]. *)
 
 type sampler

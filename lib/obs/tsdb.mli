@@ -1,13 +1,14 @@
-(** Bounded-retention in-process time-series store: the sample
-    substrate the burn-rate alert engine ({!Alerts}) judges over.
+(** Bounded-retention in-process time-series store: the one sample
+    store, which every SLO rule of {!Alerts} — threshold and burn-rate
+    alike — judges over.
 
     A store holds one {!Mitos_util.Timeseries} ring per signal name,
     all sharing the store's retention policy (sample capacity plus
     optional max age — DESIGN §15). On top of the retained samples it
-    derives the windowed series the SRE-style alert math needs:
-    [rate]/[increase] with counter-reset handling, nearest-rank
-    [window_quantile], and bucketed range [query] for the [/query]
-    endpoint.
+    derives the windowed series the rules need: [window_mean] for
+    windowed threshold rules, [rate]/[increase] with counter-reset
+    handling, nearest-rank [window_quantile], and bucketed range
+    [query] for the [/query] endpoint.
 
     {b Determinism.} Every derived figure is a pure function of the
     retained [(time, value)] samples; iteration is oldest-first in

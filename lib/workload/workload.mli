@@ -33,8 +33,8 @@ val run_live :
 (** Execute the workload under the policy, returning the finished
     engine. [obs] instruments the engine (see {!Engine.instrument});
     [sample_every] is its sampling period; [observe] additionally
-    receives every {!Metrics.attach_sampler} sample (the health
-    watchdog's feed — only called when [obs] is enabled); [audit]
+    receives every {!Metrics.attach_sampler} sample (the SLO
+    engine's feed — only called when [obs] is enabled); [audit]
     threads a decision flight recorder through the run (with or
     without [obs]). *)
 
