@@ -1483,7 +1483,7 @@ let net_workers_arg =
     value
     & opt int Net.Server.default_config.Net.Server.workers
     & info [ "workers" ] ~docv:"N"
-        ~doc:"Worker domains serving connections (0 = on the acceptor).")
+        ~doc:"Domains serving connections, each one readiness loop (0 = one).")
 
 let net_nodes_arg =
   Arg.(
@@ -1497,7 +1497,8 @@ let read_timeout_arg =
     value
     & opt float Net.Server.default_config.Net.Server.read_timeout
     & info [ "read-timeout" ] ~docv:"SECONDS"
-        ~doc:"Per-connection read timeout; idle connections are dropped.")
+        ~doc:"Seconds a connection may stay silent, leave a frame \
+              unfinished or leave its replies unread before it is dropped.")
 
 let shards_arg ~default ~doc =
   Arg.(value & opt int default & info [ "shards" ] ~docv:"N" ~doc)
@@ -1540,7 +1541,7 @@ let run_decision_server endpoint workers nodes shards read_timeout tau alpha
   Alerts.link_tracer slo (Obs.tracer obs);
   let src = Tele.source ~slo obs in
   (* The engine is fed by the linger tick on this domain and (with
-     --telemetry) read by worker domains answering Query_telemetry;
+     --telemetry) read by loop domains answering Query_telemetry;
      one mutex covers it. *)
   let slo_mu = Mutex.create () in
   let with_slo f =

@@ -25,7 +25,7 @@ type config = {
   nodes : int;
   estimator_slots : int;  (** per node *)
   transport : transport;
-  workers : int;  (** worker domains per node, [Tcp] only *)
+  workers : int;  (** serving domains per node, [Tcp] only *)
   gen : Tenantgen.config;
   batch : int;  (** decide requests per frame *)
   candidates : int;

@@ -5,7 +5,7 @@ module Obs = Mitos_obs.Obs
 module Tracer = Mitos_obs.Tracer
 module Propagation = Mitos_obs.Propagation
 module Estimator = Mitos_distrib.Estimator
-module Executor = Mitos_parallel.Executor
+module Netloop = Mitos_obs.Netloop
 
 type config = {
   workers : int;
@@ -34,7 +34,7 @@ type t = {
   params : Mitos.Params.t;
   reg : Registry.t;
   obs : Obs.t;
-  (* Worker domains handle requests concurrently but the tracer is
+  (* Loop domains handle requests concurrently but the tracer is
      single-writer; completed server spans are recorded under this. *)
   trace_mu : Mutex.t;
   est : Estimator.t;
@@ -47,7 +47,7 @@ type t = {
   publishes : int Atomic.t;
   (* What Query_telemetry reports as the node's own SLO verdict;
      replaced by [set_health_probe] when an SLO engine is wired
-     in. Read on whichever worker domain serves the request, so
+     in. Read on whichever loop domain serves the request, so
      probes must be safe to call from any domain. *)
   mutable health_probe : unit -> bool * string;
 }
@@ -187,7 +187,7 @@ let handle_request t (req : Wire.request) : Wire.response =
 
 (* Record a completed server span carrying the client's trace context,
    if the server has an enabled obs. Tracer writes are serialized
-   under [trace_mu] because worker domains handle requests
+   under [trace_mu] because loop domains handle requests
    concurrently; the span is recorded with explicit timestamps after
    the work, so the critical section is just the buffer append. *)
 let record_span t ~trace ~ts0 ~ts1 op =
@@ -204,13 +204,16 @@ let record_span t ~trace ~ts0 ~ts1 op =
         Tracer.complete (Obs.tracer t.obs) ~args ~ts0 ~ts1 ("server." ^ op))
   end
 
+let err_body err =
+  Wire.encode_response_body ~id:0 (Err (Wire.error_to_string err))
+
 let handle_body t body =
   let t0 = Unix.gettimeofday () in
   let obs_ts0 = if Obs.enabled t.obs then Obs.now t.obs else 0 in
   match Wire.decode_request body with
   | Error err ->
     Registry.incr t.errors_total;
-    Wire.encode_response_body ~id:0 (Err (Wire.error_to_string err))
+    err_body err
   | Ok (id, trace, req) ->
     atomic_add t.served 1;
     let resp =
@@ -233,116 +236,53 @@ let handle_body t body =
 
 (* -- listeners ----------------------------------------------------------- *)
 
-type sock_listener = {
-  sock : Unix.file_descr;
-  stopping : bool Atomic.t;
-  mutable acceptor : unit Domain.t option;
-  exec : Executor.t;
-  unlink_path : string option;
-}
+(* The wire protocol as a readiness-loop session: every complete frame
+   is answered inline. Framing the stream cannot recover from — an
+   oversize announcement, a garbage length — and a timeout each get
+   one Err frame, then a hang-up; EOF just closes. *)
+let session t (stream : Netloop.stream) bytes pos : Netloop.action =
+  match (Wire.unframe ~max_frame:t.config.max_frame bytes ~pos, stream) with
+  | Ok (body, next), _ -> Reply (Wire.frame (handle_body t body), next)
+  | Error (Truncated _), Open -> Need_more
+  | Error (Truncated _), Eof -> Reply_close ""
+  | Error (Truncated _), Timed_out ->
+    Registry.incr t.errors_total;
+    Reply_close
+      (Wire.frame (err_body (Corrupt { offset = 0; msg = "read timeout" })))
+  | Error err, _ ->
+    Registry.incr t.errors_total;
+    Reply_close (Wire.frame (err_body err))
 
-type impl = Mem of string | Sock of sock_listener
-
-type listener = {
-  owner : t;
-  bound : Transport.endpoint;
-  impl : impl;
-  mutable stopped : bool;
-}
+type listener = { bound : Transport.endpoint; stop : unit -> unit }
 
 let endpoint l = l.bound
+let stop l = l.stop ()
 
-(* One connection: read frames, answer them, until the peer closes,
-   times out, sends garbage the stream cannot recover from, or the
-   listener stops. *)
-let serve_conn t stopping fd peer =
-  Netio.set_timeouts ~timeout:t.config.read_timeout fd;
-  let conn = Transport.of_fd ~max_frame:t.config.max_frame ~peer fd in
-  let rec loop () =
-    if not (Atomic.get stopping) then
-      match Transport.recv conn with
-      | Ok body -> (
-        match Transport.send conn (handle_body t body) with
-        | Ok () -> loop ()
-        | Error _ -> ())
-      | Error (Truncated _) -> () (* peer closed *)
-      | Error err ->
-        (* framing is unrecoverable: answer once, then hang up *)
-        Registry.incr t.errors_total;
-        ignore
-          (Transport.send conn
-             (Wire.encode_response_body ~id:0
-                (Err (Wire.error_to_string err))))
+let once f =
+  let ran = Atomic.make false in
+  fun () -> if not (Atomic.exchange ran true) then f ()
+
+let serve t sock =
+  let session = session t in
+  let accept () =
+    Registry.incr t.connections_total;
+    session
   in
-  Fun.protect ~finally:(fun () -> Transport.close conn) loop
-
-let accept_loop t sl =
-  while not (Atomic.get sl.stopping) do
-    match Unix.select [ sl.sock ] [] [] 0.2 with
-    | [], _, _ -> ()
-    | _ :: _, _, _ -> (
-      match Unix.accept sl.sock with
-      | client, addr ->
-        Registry.incr t.connections_total;
-        let peer =
-          match addr with
-          | Unix.ADDR_INET (a, p) ->
-            Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
-          | Unix.ADDR_UNIX p -> if p = "" then "unix-peer" else p
-        in
-        Executor.submit sl.exec (fun () -> serve_conn t sl.stopping client peer)
-      | exception Unix.Unix_error _ -> () (* racing stop; loop re-checks *))
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-    | exception Unix.Unix_error (EBADF, _, _) -> Atomic.set sl.stopping true
-  done
+  Netloop.start ~domains:(max 1 t.config.workers)
+    ~timeout:t.config.read_timeout ~accept sock
 
 let start t ep =
   match ep with
   | Transport.Memory name ->
     Transport.Loopback.register name (handle_body t);
-    { owner = t; bound = ep; impl = Mem name; stopped = false }
+    { bound = ep; stop = once (fun () -> Transport.Loopback.unregister name) }
   | Tcp { host; port } ->
     let sock, bound_port = Netio.listen_tcp ~host ~port () in
-    let sl =
-      {
-        sock;
-        stopping = Atomic.make false;
-        acceptor = None;
-        exec = Executor.create ~name:"mitos-net" ~workers:t.config.workers ();
-        unlink_path = None;
-      }
-    in
-    sl.acceptor <- Some (Domain.spawn (fun () -> accept_loop t sl));
-    {
-      owner = t;
-      bound = Tcp { host; port = bound_port };
-      impl = Sock sl;
-      stopped = false;
-    }
+    { bound = Tcp { host; port = bound_port }; stop = serve t sock }
   | Unix_sock path ->
-    let sock = Netio.listen_unix path in
-    let sl =
-      {
-        sock;
-        stopping = Atomic.make false;
-        acceptor = None;
-        exec = Executor.create ~name:"mitos-net" ~workers:t.config.workers ();
-        unlink_path = Some path;
-      }
+    let stop = serve t (Netio.listen_unix path) in
+    let stop_and_unlink () =
+      stop ();
+      try Unix.unlink path with Unix.Unix_error _ -> ()
     in
-    sl.acceptor <- Some (Domain.spawn (fun () -> accept_loop t sl));
-    { owner = t; bound = ep; impl = Sock sl; stopped = false }
-
-let stop l =
-  if not l.stopped then begin
-    l.stopped <- true;
-    match l.impl with
-    | Mem name -> Transport.Loopback.unregister name
-    | Sock sl ->
-      Atomic.set sl.stopping true;
-      (match sl.acceptor with Some d -> Domain.join d | None -> ());
-      Netio.close_quietly sl.sock;
-      Executor.shutdown sl.exec;
-      Option.iter (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ())
-        sl.unlink_path
-  end
+    { bound = ep; stop = once stop_and_unlink }

@@ -10,12 +10,11 @@
     {!Wire.Read_global}; a decide request's effective pollution is the
     client-supplied local value {e plus} the estimator's global sum.
 
-    {b Shape.} One acceptor domain (select + accept, with a stop
-    tick), [workers] worker domains draining accepted connections off
-    a {!Mitos_parallel.Executor}. Each connection is served by one
-    worker at a time: a read-decode-decide-respond loop bounded by a
-    per-connection read timeout and the {!Wire.unframe} max-frame
-    guard. [workers = 0] serves connections on the acceptor domain.
+    {b Shape.} [max 1 workers] {!Mitos_obs.Netloop} domains racing to
+    accept; each handles its connections' frames inline and never
+    blocks on a socket. [read_timeout] ends a connection that is
+    silent, mid-frame or not reading its replies with one [Err] frame;
+    the {!Wire.unframe} max-frame guard bounds every frame.
 
     On a [Memory] endpoint none of that machinery exists: {!start}
     registers {!handle_body} as a loopback handler and requests run
@@ -29,14 +28,14 @@
     (whose p50/p95/p99 appear in the Prometheus exposition). *)
 
 type config = {
-  workers : int;  (** worker domains; 0 serves on the acceptor *)
+  workers : int;  (** serving (loop) domains; 0 means one *)
   nodes : int;  (** estimator slots for publish/read *)
   estimator_shards : int;
       (** estimator shard count (≥ 1); publishes to different shards
           stop serializing on one lock, and the decide path's global
           read is lock-free at any shard count. 1 keeps the global
           fold bit-identical to the unsharded estimator. *)
-  read_timeout : float;  (** per-connection, seconds *)
+  read_timeout : float;  (** the one per-connection timeout, seconds *)
   max_frame : int;  (** {!Wire.unframe} bound *)
   node_id : string;
       (** the id this node reports in {!Wire.Telemetry} replies — the
@@ -44,7 +43,7 @@ type config = {
 }
 
 val default_config : config
-(** 4 workers, 16 nodes, 1 estimator shard,
+(** 4 serving domains, 16 nodes, 1 estimator shard,
     {!Mitos_obs.Netio.default_timeout} read timeout,
     {!Wire.default_max_frame}, node id ["node0"]. *)
 
@@ -94,16 +93,17 @@ type listener
 
 val start : t -> Transport.endpoint -> listener
 (** Serve [t] on the endpoint. [Tcp]/[Unix_sock]: bind, listen and
-    spawn the acceptor + workers (a TCP port of 0 lets the kernel
-    pick; read it back with {!endpoint}). [Memory]: register the
-    loopback handler, spawning nothing. Raises [Unix.Unix_error] if
-    the address cannot be bound, [Invalid_argument] if the loopback
-    name is taken. *)
+    spawn the loop domains (a TCP port of 0 lets the kernel pick;
+    read it back with {!endpoint}). [Memory]: register the loopback
+    handler, spawning nothing. Raises [Unix.Unix_error] if the
+    address cannot be bound, [Invalid_argument] if the loopback name
+    is taken. *)
 
 val endpoint : listener -> Transport.endpoint
 (** The endpoint as actually bound. *)
 
 val stop : listener -> unit
-(** Graceful shutdown: stop accepting, close the listening socket
-    (unlinking a Unix-socket path), let in-flight requests finish,
-    join the workers and the acceptor. Idempotent. *)
+(** Graceful shutdown within one 0.2 s loop tick: requests being
+    handled finish, open connections are closed, the loops joined and
+    the listening socket closed (unlinking a Unix-socket path).
+    Idempotent. *)

@@ -80,8 +80,8 @@ end
 
 type sock_state = {
   fd : Unix.file_descr;
-  buf : Buffer.t;  (* bytes read but not yet consumed as frames *)
-  mutable consumed : int;  (* frames already handed out of [buf] *)
+  chunk : Bytes.t;  (* read buffer *)
+  mutable pending : string;  (* bytes read but not yet handed out *)
   max_frame : int;
 }
 
@@ -99,6 +99,18 @@ type conn = { kind : kind; peer : string; mutable closed : bool }
 let peer c = c.peer
 
 let connect ?timeout ?(max_frame = Wire.default_max_frame) ep =
+  let peer = endpoint_to_string ep in
+  let sock = function
+    | Error _ as e -> e
+    | Ok fd ->
+      Ok
+        {
+          kind =
+            Sock { fd; chunk = Bytes.create 8192; pending = ""; max_frame };
+          peer;
+          closed = false;
+        }
+  in
   match ep with
   | Memory name -> (
     match Loopback.handler name with
@@ -109,29 +121,11 @@ let connect ?timeout ?(max_frame = Wire.default_max_frame) ep =
           kind =
             Mem { name; handler; pending = Queue.create ();
                   mem_max_frame = max_frame };
-          peer = endpoint_to_string ep;
+          peer;
           closed = false;
         })
-  | Tcp { host; port } -> (
-    match Netio.connect_tcp ?timeout ~host ~port () with
-    | Error _ as e -> e
-    | Ok fd ->
-      Ok
-        {
-          kind = Sock { fd; buf = Buffer.create 512; consumed = 0; max_frame };
-          peer = endpoint_to_string ep;
-          closed = false;
-        })
-  | Unix_sock path -> (
-    match Netio.connect_unix ?timeout path with
-    | Error _ as e -> e
-    | Ok fd ->
-      Ok
-        {
-          kind = Sock { fd; buf = Buffer.create 512; consumed = 0; max_frame };
-          peer = endpoint_to_string ep;
-          closed = false;
-        })
+  | Tcp { host; port } -> sock (Netio.connect_tcp ?timeout ~host ~port ())
+  | Unix_sock path -> sock (Netio.connect_unix ?timeout path)
 
 let send c body =
   if c.closed then Error (c.peer ^ ": connection closed")
@@ -153,36 +147,22 @@ let send c body =
       | exception Unix.Unix_error (err, _, _) ->
         Error (Printf.sprintf "%s: %s" c.peer (Unix.error_message err)))
 
-(* Pull one frame out of the socket buffer, reading more as needed.
-   The buffer is compacted once consumed frames pass 64 KiB so a
-   long-lived connection does not grow without bound. *)
+(* Pull one frame out of the bytes read so far, reading more as
+   needed. *)
 let recv_sock s =
-  let chunk = Bytes.create 8192 in
   let rec go () =
-    match
-      Wire.unframe ~max_frame:s.max_frame (Buffer.contents s.buf)
-        ~pos:s.consumed
-    with
+    match Wire.unframe ~max_frame:s.max_frame s.pending ~pos:0 with
     | Ok (body, pos) ->
-      s.consumed <- pos;
-      if s.consumed > 65536 then begin
-        let rest =
-          let all = Buffer.contents s.buf in
-          String.sub all s.consumed (String.length all - s.consumed)
-        in
-        Buffer.clear s.buf;
-        Buffer.add_string s.buf rest;
-        s.consumed <- 0
-      end;
+      s.pending <- String.sub s.pending pos (String.length s.pending - pos);
       Ok body
     | Error (Truncated _) -> (
-      match Unix.read s.fd chunk 0 (Bytes.length chunk) with
+      match Unix.read s.fd s.chunk 0 (Bytes.length s.chunk) with
       | 0 ->
         (* EOF mid-frame (or before one); the offset is how much of a
            frame we were left holding *)
-        Error (Wire.Truncated { offset = Buffer.length s.buf - s.consumed })
+        Error (Wire.Truncated { offset = String.length s.pending })
       | n ->
-        Buffer.add_subbytes s.buf chunk 0 n;
+        s.pending <- s.pending ^ Bytes.sub_string s.chunk 0 n;
         go ()
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
         Error (Wire.Corrupt { offset = 0; msg = "read timeout" })
@@ -207,13 +187,6 @@ let recv c =
                { announced = String.length frame; limit = m.mem_max_frame })
         else Ok frame)
     | Sock s -> recv_sock s
-
-let of_fd ?(max_frame = Wire.default_max_frame) ~peer fd =
-  {
-    kind = Sock { fd; buf = Buffer.create 512; consumed = 0; max_frame };
-    peer;
-    closed = false;
-  }
 
 let close c =
   if not c.closed then begin

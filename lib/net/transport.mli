@@ -66,11 +66,6 @@ val close : conn -> unit
 val peer : conn -> string
 (** Human-readable peer address, for error messages. *)
 
-val of_fd :
-  ?max_frame:int -> peer:string -> Unix.file_descr -> conn
-(** Wrap an already-connected socket (the {!Server} accept path) in
-    the same framed [send]/[recv] interface clients use. *)
-
 (** {1 Loopback registry}
 
     Used by {!Server.start} when given a [Memory] endpoint; exposed so

@@ -18,9 +18,6 @@ val resolve : string -> Unix.inet_addr
 (** Numeric address or hostname. Raises [Failure] with a one-line
     message on an unresolvable host. *)
 
-val set_timeouts : ?timeout:float -> Unix.file_descr -> unit
-(** Apply [SO_RCVTIMEO]/[SO_SNDTIMEO]. *)
-
 val write_all : Unix.file_descr -> string -> unit
 (** Write the whole string; raises [Exit] if the peer stops
     accepting bytes, [Unix.Unix_error] on socket errors. *)

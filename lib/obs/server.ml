@@ -31,43 +31,12 @@ let status_reason = function
   | 503 -> "Service Unavailable"
   | _ -> "Status"
 
-let write_all = Netio.write_all
-
-let respond fd p =
-  let head =
-    Printf.sprintf
-      "HTTP/1.0 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\
-       Connection: close\r\n\r\n"
-      p.status (status_reason p.status) p.content_type
-      (String.length p.body)
-  in
-  write_all fd (head ^ p.body)
-
-(* Read until the end of the request head (we never read bodies: the
-   only supported method is GET), a size bound, or EOF. *)
-let read_head fd =
-  let buf = Buffer.create 512 in
-  let chunk = Bytes.create 4096 in
-  let rec seen_terminator () =
-    let s = Buffer.contents buf in
-    let rec find i =
-      i + 3 < String.length s
-      && (String.sub s i 4 = "\r\n\r\n" || find (i + 1))
-    in
-    String.length s >= 4 && find 0
-  and go () =
-    if Buffer.length buf > 65536 || seen_terminator () then
-      Buffer.contents buf
-    else
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> Buffer.contents buf
-      | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        go ()
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-        Buffer.contents buf
-  in
-  go ()
+let response p =
+  Printf.sprintf
+    "HTTP/1.0 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\
+     Connection: close\r\n\r\n%s"
+    p.status (status_reason p.status) p.content_type (String.length p.body)
+    p.body
 
 (* "a=1&b=2" → [("a","1"); ("b","2")]. No percent-decoding: route
    payloads that care (e.g. /tracez?trace_id=) match hex ids, which
@@ -113,10 +82,9 @@ let index_payload routes _query =
     routes;
   text (Buffer.contents buf)
 
-let handle routes fd =
-  let head = read_head fd in
-  let reply =
-    match parse_request head with
+let answer routes head =
+  response
+    (match parse_request head with
     | None -> text ~status:500 "malformed request\n"
     | Some (meth, _, _) when meth <> "GET" ->
       text ~status:405 "only GET is supported\n"
@@ -126,72 +94,57 @@ let handle routes fd =
       | Some r -> (
         try r.payload query
         with exn ->
-          text ~status:500 (Printf.sprintf "%s\n" (Printexc.to_string exn))))
-  in
-  try respond fd reply with Exit | Unix.Unix_error _ -> ()
+          text ~status:500 (Printf.sprintf "%s\n" (Printexc.to_string exn)))))
 
-(* -- server loop ----------------------------------------------------- *)
+(* -- serving --------------------------------------------------------- *)
 
-type t = {
-  sock : Unix.file_descr;
-  bound_host : string;
-  bound_port : int;
-  stopping : bool Atomic.t;
-  mutable domain : unit Domain.t option;
-}
+let head_limit = 65536
 
-(* One accept-and-serve loop on the server domain. [select] with a
-   short timeout doubles as the stop poll: [stop] flips the flag and
-   the loop notices within [tick]. *)
-let serve_loop t routes =
-  let tick = 0.1 in
-  let routes_with_index =
+(* Where the blank line ending an HTTP head starts, searching on from
+   [i]. *)
+let rec head_end s i =
+  if i + 3 >= String.length s then None
+  else if
+    s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n'
+  then Some i
+  else head_end s (i + 1)
+
+(* Bodies are never read (the only method is GET), so a request is its
+   head: answered once the blank line ending it arrives, past
+   [head_limit], or at EOF or timeout with whatever was read.
+   [scanned] keeps each byte from being searched twice; the 3-byte
+   overlap catches a terminator split across reads. *)
+let http_session routes () =
+  let scanned = ref 0 in
+  fun (stream : Netloop.stream) head _ ->
+    if
+      stream <> Open
+      || String.length head > head_limit
+      || head_end head (max 0 (!scanned - 3)) <> None
+    then Netloop.Reply_close (answer routes head)
+    else begin
+      scanned := String.length head;
+      Netloop.Need_more
+    end
+
+type t = { stop : unit -> unit; bound_host : string; bound_port : int }
+
+let start ?(host = "127.0.0.1") ?(port = 0) routes =
+  let sock, bound_port = Netio.listen_tcp ~host ~port () in
+  let routes =
     { path = "/"; file = "index.txt"; describe = "this index";
       payload = index_payload routes }
     :: routes
   in
-  let rec loop () =
-    if not (Atomic.get t.stopping) then begin
-      (match Unix.select [ t.sock ] [] [] tick with
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-        match Unix.accept t.sock with
-        | client, _ ->
-          Netio.set_timeouts client;
-          Fun.protect
-            ~finally:(fun () -> Netio.close_quietly client)
-            (fun () ->
-              (* a client dying mid-request must not kill the server *)
-              try handle routes_with_index client
-              with Unix.Unix_error _ | Exit -> ())
-        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-          ())
-      | exception Unix.Unix_error (EINTR, _, _) -> ());
-      loop ()
-    end
+  let stop =
+    Netloop.start ~domains:1 ~timeout:Netio.default_timeout
+      ~accept:(http_session routes) sock
   in
-  (try loop () with Unix.Unix_error ((EBADF | EINVAL), _, _) -> ());
-  try Unix.close t.sock with Unix.Unix_error _ -> ()
-
-let start ?(host = "127.0.0.1") ?(port = 0) routes =
-  let sock, bound_port = Netio.listen_tcp ~host ~port () in
-  let t =
-    { sock; bound_host = host; bound_port; stopping = Atomic.make false;
-      domain = None }
-  in
-  t.domain <- Some (Domain.spawn (fun () -> serve_loop t routes));
-  t
+  { stop; bound_host = host; bound_port }
 
 let port t = t.bound_port
 let addr t = Printf.sprintf "%s:%d" t.bound_host t.bound_port
-
-let stop t =
-  if not (Atomic.exchange t.stopping true) then
-    match t.domain with
-    | None -> ()
-    | Some d ->
-      t.domain <- None;
-      Domain.join d
+let stop t = t.stop ()
 
 (* -- offline twin ---------------------------------------------------- *)
 
@@ -252,7 +205,7 @@ let fetch ?timeout ~host ~port ~path () =
     let finally () = Netio.close_quietly sock in
     match
       Fun.protect ~finally (fun () ->
-          write_all sock
+          Netio.write_all sock
             (Printf.sprintf
                "GET %s HTTP/1.0\r\nHost: %s\r\nConnection: close\r\n\r\n"
                path host);
@@ -265,15 +218,7 @@ let fetch ?timeout ~host ~port ~path () =
     | exception Exit -> Error (Printf.sprintf "%s:%d closed early" host port)
     | raw -> (
       (* "HTTP/1.0 200 OK\r\nheaders...\r\n\r\nbody" *)
-      let split_head_body () =
-        let rec find i =
-          if i + 3 < String.length raw then
-            if String.sub raw i 4 = "\r\n\r\n" then Some i else find (i + 1)
-          else None
-        in
-        find 0
-      in
-      match split_head_body () with
+      match head_end raw 0 with
       | None -> Error "malformed HTTP response (no header terminator)"
       | Some sep -> (
         let head = String.sub raw 0 sep in

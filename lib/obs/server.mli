@@ -20,9 +20,10 @@
     (after the run, when state is quiescent) and writes the payloads
     to files — what tests and CI diff.
 
-    Requests are served sequentially (one connection at a time): the
-    intended clients are a scraper and a human with [curl], and a
-    sequential loop keeps the server at zero shared mutable state. *)
+    The server is one {!Netloop} on one domain, so an idle or slow
+    client holds no one up, while payloads still run one at a time and
+    the server keeps zero shared mutable state. A request head is
+    capped at 64 KiB; EOF or a 5 s timeout answers what was read. *)
 
 type payload = {
   status : int;  (** HTTP status code, e.g. 200, 503 *)
@@ -63,7 +64,7 @@ val route_q :
 type t
 
 val start : ?host:string -> ?port:int -> route list -> t
-(** Bind, listen and serve on a fresh domain. [host] defaults to
+(** Bind, listen and serve on a fresh loop domain. [host] defaults to
     ["127.0.0.1"]; [port] 0 (the default) lets the kernel pick a free
     port — read it back with {!port}. A [GET /] index listing the
     routes is always served. Raises [Unix.Unix_error] if the address
@@ -76,9 +77,9 @@ val addr : t -> string
 (** ["HOST:PORT"] as bound. *)
 
 val stop : t -> unit
-(** Close the listening socket and join the server domain.
-    Idempotent. In-flight requests finish; queued connections are
-    dropped. *)
+(** Stop the loop within its 0.2 s tick and close the listening
+    socket. Idempotent. A request being answered finishes; open and
+    queued connections are dropped. *)
 
 val oneshot : dir:string -> route list -> (string * string) list
 (** The offline twin: evaluate every route's payload once, in list

@@ -2,8 +2,8 @@ module Contended = Mitos_obs.Contended
 
 (* One queue, one lock, one condition: an idle worker takes whatever
    task is next, so no task waits behind a busy worker while another
-   sleeps. The producers are one submit per accepted connection and a
-   few per pool batch, so the single lock is not a hot spot. *)
+   sleeps. The producers submit a few tasks per pool batch, so the
+   single lock is not a hot spot. *)
 type t = {
   name : string;
   lock : Contended.t option;  (* [None] when inline: no queue to guard *)

@@ -1,11 +1,8 @@
 (** A persistent set of worker domains draining one task queue.
 
-    A network server needs long-lived workers pulling independent,
-    fire-and-forget tasks (one per accepted connection) as they
-    arrive, with no result to collect and no batch boundary. This
-    module is that executor: the [Mitos_net] decision server runs its
-    per-connection loops on one, and {!Pool} runs its batch drainers
-    on one.
+    Long-lived workers pull independent, fire-and-forget tasks as they
+    arrive, with no result to collect. {!Pool} runs its batch
+    drainers on one.
 
     There is one queue, guarded by one ["executor:<name>"]
     {!Mitos_obs.Contended} lock, and any idle worker takes the next

@@ -717,6 +717,45 @@ let test_server_rejects_non_get () =
           Alcotest.(check bool) "405" true
             (string_contains status_line "405")))
 
+let test_server_idle_socket_does_not_stall () =
+  (* a scraper that connects and never asks must not hold up the next
+     one; a head that arrives in pieces is still one request *)
+  let server = Server.start (ping_routes (ref 0)) in
+  let port = Server.port server in
+  let connect () =
+    match Netio.connect_tcp ~timeout:2.0 ~host:"127.0.0.1" ~port () with
+    | Ok fd -> fd
+    | Error e -> Alcotest.fail e
+  in
+  let idle = connect () in
+  Fun.protect
+    ~finally:(fun () ->
+      Netio.close_quietly idle;
+      Server.stop server)
+    (fun () ->
+      Unix.sleepf 0.05;
+      let t0 = Unix.gettimeofday () in
+      (match Server.fetch ~host:"127.0.0.1" ~port ~path:"/ping" () with
+      | Ok (200, _) -> ()
+      | Ok (st, _) -> Alcotest.failf "/ping status %d" st
+      | Error e -> Alcotest.fail e);
+      let took = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "/ping behind an idle socket within 1 s (took %.3f s)"
+           took)
+        true (took < 1.0);
+      let piecewise = connect () in
+      Fun.protect
+        ~finally:(fun () -> Netio.close_quietly piecewise)
+        (fun () ->
+          List.iter
+            (fun piece ->
+              Netio.write_all piecewise piece;
+              Unix.sleepf 0.05)
+            [ "GET /pi"; "ng HTTP/1.0\r\nHost: x\r"; "\n\r\n" ];
+          Alcotest.(check bool) "head in three pieces gets 200" true
+            (string_contains (Netio.read_to_eof piecewise) "HTTP/1.0 200")))
+
 let test_server_oneshot_deterministic () =
   let routes = ping_routes (ref 0) in
   (* /boom raises: oneshot must propagate, so drop it for this test *)
@@ -2189,6 +2228,8 @@ let () =
             test_server_serve_fetch_stop;
           Alcotest.test_case "non-GET rejected" `Quick
             test_server_rejects_non_get;
+          Alcotest.test_case "idle socket does not stall" `Quick
+            test_server_idle_socket_does_not_stall;
           Alcotest.test_case "oneshot deterministic" `Quick
             test_server_oneshot_deterministic;
           Alcotest.test_case "oneshot propagates" `Quick

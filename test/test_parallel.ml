@@ -130,19 +130,16 @@ let await ?(timeout_s = 10.0) cond =
   cond ()
 
 let test_executor_drains () =
+  (* shutdown drains the queue before it joins the workers *)
   let ex = Executor.create ~name:"test-drain" ~workers:3 () in
   let hits = Atomic.make 0 in
   for _ = 1 to 100 do
     Executor.submit ex (fun () -> Atomic.incr hits)
   done;
-  Alcotest.(check bool) "all tasks ran" true
-    (await (fun () -> Atomic.get hits = 100));
-  (* pending counts running work too, so the last task's slot clears a
-     beat after its effect is visible *)
-  Alcotest.(check bool) "nothing pending" true
-    (await (fun () -> Executor.pending ex = 0));
-  checki "no failures" 0 (Executor.failures ex);
   Executor.shutdown ex;
+  checki "all tasks ran before join" 100 (Atomic.get hits);
+  checki "nothing pending" 0 (Executor.pending ex);
+  checki "no failures" 0 (Executor.failures ex);
   Executor.shutdown ex (* idempotent *)
 
 let test_executor_inline () =
@@ -152,15 +149,21 @@ let test_executor_inline () =
   Executor.submit ex (fun () -> acc := !acc + 1);
   Executor.submit ex (fun () -> acc := !acc + 10);
   checki "inline effects immediate" 11 !acc;
-  Executor.shutdown ex
+  Executor.submit ex (fun () -> failwith "boom");
+  checki "failure contained and counted" 1 (Executor.failures ex);
+  Executor.shutdown ex;
+  Alcotest.(check bool) "submit after shutdown rejected" true
+    (try
+       Executor.submit ex (fun () -> ());
+       false
+     with Invalid_argument _ -> true)
 
 let test_executor_blocked_task_no_shadow () =
-  (* a worker held by a long-lived task (a server connection loop)
-     must not hold up work behind it while a sibling is idle *)
+  (* a worker held by a long-lived task must not hold up work behind
+     it while a sibling is idle *)
   let ex = Executor.create ~name:"test-blocked" ~workers:2 () in
   let release = Atomic.make false and started = Atomic.make false in
-  (* let both workers reach their idle wait, as a server's have by the
-     time a connection arrives *)
+  (* let both workers reach their idle wait first *)
   Unix.sleepf 0.05;
   Executor.submit ex (fun () ->
       Atomic.set started true;
