@@ -2,13 +2,15 @@
    paper's evaluation section (printed as console tables), then runs
    bechamel microbenchmarks for the systems claims (O(1) decision
    cost, Alg. 2 batch cost, shadow-memory and engine throughput).
+   The microbenchmark table is a report, not a gate: the perf gate
+   compares bench/perf runs (see `mitos-cli bench compare`).
 
    Usage:
      dune exec bench/main.exe                    -- everything
      dune exec bench/main.exe -- quick           -- deterministic experiments
-     dune exec bench/main.exe -- micro           -- microbenchmarks only
-                                                    (writes BENCH_decisions.json)
+     dune exec bench/main.exe -- micro           -- microbenchmark table only
      dune exec bench/main.exe -- obs             -- observability overhead only
+                                                    (the 5% obs contract)
      dune exec bench/main.exe -- report [PATH]   -- markdown report
      dune exec bench/main.exe -- MODE --jobs N   -- run experiments on an
                                                     N-domain pool (output is
@@ -299,520 +301,6 @@ let run_micro () =
   in
   Notty_unix.eol img |> Notty_unix.output_image
 
-(* -- decision fast-path summary (BENCH_decisions.json) ----------------- *)
-
-let time_ns_per ~iters f =
-  (* warm up once so table/cache population is off the clock *)
-  f ();
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    f ()
-  done;
-  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
-
-let write_bench_json ~jobs ~shards path =
-  let stats = Tag_stats.create () in
-  for i = 1 to 1_000 do
-    Tag_stats.incr stats (net i)
-  done;
-  let env = Mitos.Decision.of_stats params stats in
-  let subject = net 1 in
-  let fast = Mitos.Decision.fast params in
-  let alg1_direct =
-    time_ns_per ~iters:2_000_000 (fun () ->
-        ignore (Mitos.Decision.alg1 params env subject))
-  in
-  let alg1_fast =
-    time_ns_per ~iters:2_000_000 (fun () ->
-        ignore (Mitos.Decision.alg1_fast fast env subject))
-  in
-  let candidates = List.init 8 (fun i -> net (i + 1)) in
-  let alg2_direct =
-    time_ns_per ~iters:200_000 (fun () ->
-        ignore (Mitos.Decision.alg2 params env ~space:4 candidates))
-  in
-  let alg2_fast =
-    time_ns_per ~iters:200_000 (fun () ->
-        ignore (Mitos.Decision.alg2_fast fast env ~space:4 candidates))
-  in
-  (* engine replay throughput over a prerecorded slice *)
-  let built = Mitos_workload.Netbench.build ~seed:1 ~chunks:2 () in
-  let trace = Mitos_workload.Workload.record built in
-  let records = Mitos_replay.Trace.records trace in
-  let slice = Array.sub records 0 (min 1_000 (Array.length records)) in
-  let replay_ns =
-    time_ns_per ~iters:50 (fun () ->
-        let engine =
-          Mitos_workload.Workload.engine_of
-            ~policy:
-              (Mitos_dift.Policies.mitos (E.Calib.sensitivity_params ()))
-            built
-        in
-        Mitos_dift.Engine.attach_shadow engine
-          ~mem_size:(Mitos_replay.Trace.mem_size trace);
-        Array.iter (Mitos_dift.Engine.process_record engine) slice)
-  in
-  let records_per_sec = float_of_int (Array.length slice) /. (replay_ns *. 1e-9) in
-  (* same replay with the decision flight recorder enabled *)
-  let replay_audit_ns =
-    time_ns_per ~iters:50 (fun () ->
-        let engine =
-          Mitos_workload.Workload.engine_of
-            ~policy:
-              (Mitos_dift.Policies.mitos (E.Calib.sensitivity_params ()))
-            built
-        in
-        let audit = Mitos_obs.Audit.create ~capacity:(1 lsl 18) () in
-        Mitos.Decision.set_audit (Some audit);
-        Mitos_dift.Engine.instrument ~audit engine Mitos_obs.Obs.disabled;
-        Mitos_dift.Engine.attach_shadow engine
-          ~mem_size:(Mitos_replay.Trace.mem_size trace);
-        Array.iter (Mitos_dift.Engine.process_record engine) slice;
-        Mitos.Decision.set_audit None)
-  in
-  let audit_records_per_sec =
-    float_of_int (Array.length slice) /. (replay_audit_ns *. 1e-9)
-  in
-  (* pool speedup on an embarrassingly parallel alg2 workload *)
-  let task _i =
-    let acc = ref 0 in
-    for _ = 1 to 20_000 do
-      acc :=
-        !acc
-        + List.length (Mitos.Decision.alg2 params env ~space:4 candidates)
-    done;
-    !acc
-  in
-  let inputs = List.init (4 * max 1 jobs) (fun i -> i) in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let seq_wall, seq_r = wall (fun () -> List.map task inputs) in
-  let par_wall, par_r =
-    wall (fun () ->
-        Pool.with_pool ~jobs (fun pool -> Pool.map pool ~f:task inputs))
-  in
-  assert (seq_r = par_r);
-  (* the multicore-scaling row the perf gate tracks: a fixed 8-task
-     battery at a fixed 4-domain pool, independent of --jobs, so the
-     figure is comparable across baselines *)
-  let inputs4 = List.init 8 (fun i -> i) in
-  let seq4_wall, seq4_r = wall (fun () -> List.map task inputs4) in
-  let par4_wall, par4_r =
-    wall (fun () ->
-        Pool.with_pool ~jobs:4 (fun pool -> Pool.map pool ~f:task inputs4))
-  in
-  assert (seq4_r = par4_r);
-  let pool_speedup_4x = seq4_wall /. par4_wall in
-  (* multi-engine replay scaling: [n_par] independent engines each
-     replaying the full slice, run back-to-back and then on a
-     4-domain pool. Each task builds its own workload/engine so no
-     mutable state crosses domains; [slice] itself is read-only. *)
-  let n_par = 4 in
-  let par_replay_task _i =
-    let b = Mitos_workload.Netbench.build ~seed:1 ~chunks:2 () in
-    let engine =
-      Mitos_workload.Workload.engine_of
-        ~policy:(Mitos_dift.Policies.mitos (E.Calib.sensitivity_params ()))
-        b
-    in
-    Mitos_dift.Engine.attach_shadow engine
-      ~mem_size:(Mitos_replay.Trace.mem_size trace);
-    Array.iter (Mitos_dift.Engine.process_record engine) slice
-  in
-  let par_inputs = List.init n_par (fun i -> i) in
-  let rep1_wall, _ = wall (fun () -> List.iter par_replay_task par_inputs) in
-  let rep4_wall, _ =
-    wall (fun () ->
-        Pool.with_pool ~jobs:4 (fun pool ->
-            ignore (Pool.map pool ~f:par_replay_task par_inputs)))
-  in
-  let par_records_per_sec =
-    float_of_int (n_par * Array.length slice) /. rep4_wall
-  in
-  let replay_speedup_4x = rep1_wall /. rep4_wall in
-  (* per-shard occupancy of a 4-way sharded shadow after a
-     deterministic replay: the occupancy split and its max/mean
-     imbalance depend only on the trace and the shard hash, so the
-     imbalance is gateable at the standard tolerance. The full trace
-     is replayed (not [slice]) because taint sources only appear past
-     the first thousand records of the netbench trace. *)
-  let shard_occ =
-    let config =
-      { Mitos_dift.Engine.default_config with
-        Mitos_dift.Engine.shadow_shards = Some 4 }
-    in
-    let engine =
-      Mitos_workload.Workload.engine_of ~config
-        ~policy:Mitos_dift.Policies.propagate_all built
-    in
-    Mitos_dift.Engine.attach_shadow engine
-      ~mem_size:(Mitos_replay.Trace.mem_size trace);
-    Array.iter (Mitos_dift.Engine.process_record engine) records;
-    Shadow.shard_occupancy (Mitos_dift.Engine.shadow engine)
-  in
-  let shard_total = Array.fold_left ( + ) 0 shard_occ in
-  let shard_imbalance =
-    if shard_total = 0 then 1.0
-    else
-      float_of_int (Array.fold_left max 0 shard_occ)
-      /. (float_of_int shard_total /. float_of_int (Array.length shard_occ))
-  in
-  let shard_occ_json =
-    String.concat ", "
-      (Array.to_list (Array.map string_of_int shard_occ))
-  in
-  (* decision-service round-trip: the loadgen's decide mix against a
-     loopback server, so the row measures codec + service dispatch
-     without socket noise and stays runnable on any CI box *)
-  let net_report, net_par_rps, net_speedup_4x =
-    (* the bench service runs with a 4-way sharded estimator: the
-       sharded path is the one the scaling row below exercises, and
-       shards=1 traffic is covered by the service tests *)
-    let service =
-      Mitos_net.Server.create
-        ~config:
-          { Mitos_net.Server.default_config with
-            Mitos_net.Server.estimator_shards = 4 }
-        ~params:(E.Calib.sensitivity_params ()) ()
-    in
-    let name = Printf.sprintf "bench-%d" (Unix.getpid ()) in
-    let listener =
-      Mitos_net.Server.start service (Mitos_net.Transport.Memory name)
-    in
-    Fun.protect
-      ~finally:(fun () -> Mitos_net.Server.stop listener)
-      (fun () ->
-        let client ~requests ~seed () =
-          match
-            Mitos_net.Loadgen.run
-              ~config:
-                { Mitos_net.Loadgen.default_config with
-                  Mitos_net.Loadgen.requests; seed }
-              (Mitos_net.Transport.Memory name)
-          with
-          | Ok r -> r
-          | Error err -> failwith (Mitos_net.Client.error_to_string err)
-        in
-        let r = client ~requests:2_000 ~seed:7 () in
-        (* same total request volume split across 4 concurrent clients
-           on a 4-domain pool: the memory loopback runs the service
-           handler on each client's domain, so this hammers the shared
-           sharded estimator/decision path from 4 domains at once *)
-        let par_wall, _ =
-          wall (fun () ->
-              Pool.with_pool ~jobs:4 (fun pool ->
-                  ignore
-                    (Pool.map pool
-                       ~f:(fun s -> client ~requests:500 ~seed:(100 + s) ())
-                       (List.init 4 (fun i -> i)))))
-        in
-        let par_rps = 2_000.0 /. par_wall in
-        (r, par_rps, par_rps /. r.Mitos_net.Loadgen.throughput_rps))
-  in
-  (* fleet telemetry federation: 8 in-process loopback decision
-     servers, each preloaded with a little decide traffic, scraped
-     over the wire protocol and merged by the Fleet aggregator — the
-     row gates the cost of one full scrape-and-merge round *)
-  let fleet_node_count = 8 in
-  let fleet_scrape_rounds = 50 in
-  let fleet_mean_ns, fleet_scrapes_per_sec, fleet_merged_series =
-    let mk i =
-      let name = Printf.sprintf "bench-fleet-%d-%d" (Unix.getpid ()) i in
-      let service =
-        Mitos_net.Server.create
-          ~config:
-            { Mitos_net.Server.default_config with
-              Mitos_net.Server.node_id = Printf.sprintf "bench%d" i }
-          ~params:(E.Calib.sensitivity_params ()) ()
-      in
-      let listener =
-        Mitos_net.Server.start service (Mitos_net.Transport.Memory name)
-      in
-      (match
-         Mitos_net.Loadgen.run
-           ~config:
-             { Mitos_net.Loadgen.default_config with
-               Mitos_net.Loadgen.requests = 100; seed = 40 + i }
-           (Mitos_net.Transport.Memory name)
-       with
-      | Ok _ -> ()
-      | Error err -> failwith (Mitos_net.Client.error_to_string err));
-      (name, listener)
-    in
-    let members = List.init fleet_node_count mk in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter (fun (_, l) -> Mitos_net.Server.stop l) members)
-      (fun () ->
-        let fetchers =
-          List.map
-            (fun (name, _) ->
-              let client =
-                match
-                  Mitos_net.Client.connect (Mitos_net.Transport.Memory name)
-                with
-                | Ok c -> c
-                | Error err ->
-                  failwith (Mitos_net.Client.error_to_string err)
-              in
-              ( name,
-                fun () ->
-                  match Mitos_net.Client.telemetry client with
-                  | Ok r ->
-                    Ok
-                      { Mitos_obs.Fleet.node = r.Mitos_net.Wire.node;
-                        healthy = r.Mitos_net.Wire.healthy;
-                        health = r.Mitos_net.Wire.health;
-                        snapshot = r.Mitos_net.Wire.snapshot }
-                  | Error err ->
-                    Error (Mitos_net.Client.error_to_string err) ))
-            members
-        in
-        let fleet = Mitos_obs.Fleet.create fetchers in
-        let at = ref 0.0 in
-        let fleet_wall, () =
-          wall (fun () ->
-              for _ = 1 to fleet_scrape_rounds do
-                at := !at +. 1.0;
-                Mitos_obs.Fleet.scrape fleet ~at:!at
-              done)
-        in
-        ( fleet_wall *. 1e9 /. float_of_int fleet_scrape_rounds,
-          float_of_int fleet_scrape_rounds /. fleet_wall,
-          List.length (Mitos_obs.Fleet.merged fleet) ))
-  in
-  (* burn-rate alert engine: cost of one observe (tsdb append plus
-     two-rule evaluation over tight windows) on a synthetic stream
-     that flaps in and out of breach, so pending/firing/resolve
-     transitions and incident-ring writes are all on the clock *)
-  let alert_obs_count = 10_000 in
-  let run_alert_bench () =
-    let a =
-      Mitos_obs.Alerts.create
-        ~rules:
-          [
-            Mitos_obs.Alerts.rule ~name:"ratio" ~budget:0.05
-              ~windows:
-                [
-                  { Mitos_obs.Alerts.fast = 16.0; slow = 64.0; burn = 2.0;
-                    pair_severity = Mitos_obs.Alerts.Page };
-                ]
-              ~keep_firing:8.0 ~signal:"over_taint_ratio"
-              ~cmp:Mitos_obs.Alerts.Le ~objective:0.5 ();
-            Mitos_obs.Alerts.rule ~name:"p99" ~budget:0.1
-              ~windows:
-                [
-                  { Mitos_obs.Alerts.fast = 64.0; slow = 256.0; burn = 1.5;
-                    pair_severity = Mitos_obs.Alerts.Ticket };
-                ]
-              ~for_:16.0 ~signal:"decision_p99_ns"
-              ~cmp:Mitos_obs.Alerts.Le ~objective:5e6 ();
-          ]
-        ()
-    in
-    for i = 1 to alert_obs_count do
-      let at = float_of_int i in
-      let ratio = if i mod 600 < 120 then 0.9 else 0.1 in
-      let p99 = if i mod 900 < 300 then 8e6 else 1e6 in
-      Mitos_obs.Alerts.observe a ~at
-        [ ("over_taint_ratio", ratio); ("decision_p99_ns", p99) ]
-    done;
-    a
-  in
-  ignore (run_alert_bench ());
-  let alert_wall, alert_final = wall run_alert_bench in
-  let alert_eval_ns = alert_wall *. 1e9 /. float_of_int alert_obs_count in
-  let alert_incidents = Mitos_obs.Alerts.incidents_total alert_final in
-  (* chaos fleet sustained throughput: the judge's bench preset drives
-     the seeded tenant schedule against 3 real loopback nodes under
-     the standard fault plan (kill+restart, 0.5% frame corruption, a
-     slow window). requests_per_sec is wall-clock; p99_virtual_ns is
-     the virtual latency model and therefore deterministic, so a
-     routing or failover regression moves it at zero noise. *)
-  let chaos_row =
-    match Mitos_chaos.Judge.preset "bench" with
-    | None -> failwith "chaos bench preset missing"
-    | Some scenario -> (
-        match Mitos_chaos.Judge.run scenario with
-        | Ok report -> Mitos_chaos.Judge.bench_row report
-        | Error msg -> failwith ("chaos fleet bench: " ^ msg))
-  in
-  let chaos_num field =
-    match
-      Option.bind
-        (Mitos_util.Minijson.member field chaos_row)
-        Mitos_util.Minijson.to_float
-    with
-    | Some v -> v
-    | None -> 0.0
-  in
-  (* instrumented-mutex fast path (one uncontended lock/unlock pair)
-     next to a bare mutex pair, plus the run's accumulated contention
-     totals — every hot lock in the process is a Contended, so the
-     pool-speedup section above has already exercised them *)
-  let pair_lock = Mitos_obs.Contended.create "bench_pair" in
-  let uncontended_pair_ns =
-    time_ns_per ~iters:2_000_000 (fun () ->
-        Mitos_obs.Contended.lock pair_lock;
-        Mitos_obs.Contended.unlock pair_lock)
-  in
-  let raw_mu = Mutex.create () in
-  let raw_mutex_pair_ns =
-    time_ns_per ~iters:2_000_000 (fun () ->
-        Mutex.lock raw_mu;
-        Mutex.unlock raw_mu)
-  in
-  let lock_acq, lock_cont, lock_wait_ns, lock_hold_ns =
-    List.fold_left
-      (fun (acq, cont, wait, hold) (_, (st : Mitos_obs.Contended.stats)) ->
-        ( acq + st.Mitos_obs.Contended.acquisitions,
-          cont + st.Mitos_obs.Contended.contended,
-          wait + st.Mitos_obs.Contended.wait_ns_total,
-          hold + st.Mitos_obs.Contended.hold_ns_total ))
-      (0, 0, 0, 0)
-      (Mitos_obs.Contended.aggregate ())
-  in
-  (* GC allocation pressure of the replay hot path: word counts are
-     exact (not sampled), so the per-record figure is deterministic
-     enough to gate at the standard tolerance. The full trace is
-     replayed, as for [shard_occ], so the tainted path is covered.
-     [Gc.minor_words] is read rather than [Gc.quick_stat], whose word
-     counts only advance at a collection on OCaml 5. *)
-  let gc_engine =
-    Mitos_workload.Workload.engine_of
-      ~policy:(Mitos_dift.Policies.mitos (E.Calib.sensitivity_params ()))
-      built
-  in
-  Mitos_dift.Engine.attach_shadow gc_engine
-    ~mem_size:(Mitos_replay.Trace.mem_size trace);
-  let collections0 = (Gc.quick_stat ()).Gc.minor_collections in
-  let minor0 = Gc.minor_words () and _, promoted0, _ = Gc.counters () in
-  Array.iter (Mitos_dift.Engine.process_record gc_engine) records;
-  let minor1 = Gc.minor_words () and _, promoted1, _ = Gc.counters () in
-  let minor_collections = (Gc.quick_stat ()).Gc.minor_collections - collections0 in
-  let per_record v0 v1 = (v1 -. v0) /. float_of_int (Array.length records) in
-  let minor_words_per_record = per_record minor0 minor1 in
-  let promoted_words_per_record = per_record promoted0 promoted1 in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc
-        {|{
-  "schema": "mitos-bench-decisions/1",
-  "jobs": %d,
-  "shards": %d,
-  "alg1": {
-    "direct_ns": %.2f,
-    "fast_ns": %.2f,
-    "direct_decisions_per_sec": %.0f,
-    "fast_decisions_per_sec": %.0f,
-    "speedup": %.3f
-  },
-  "alg2_batch8_space4": {
-    "direct_ns": %.2f,
-    "fast_ns": %.2f,
-    "speedup": %.3f
-  },
-  "engine_replay": {
-    "records_per_sec": %.0f,
-    "audit_records_per_sec": %.0f,
-    "audit_overhead": %.3f,
-    "par_records_per_sec": %.0f,
-    "speedup_4x": %.3f
-  },
-  "pool": {
-    "tasks": %d,
-    "seq_seconds": %.4f,
-    "par_seconds": %.4f,
-    "speedup": %.3f,
-    "speedup_4x": %.3f
-  },
-  "shadow_shards": {
-    "shards": %d,
-    "occupancy": [%s],
-    "total": %d,
-    "imbalance": %.3f
-  },
-  "net_decide_batch": {
-    "batch": %d,
-    "requests": %d,
-    "mean_ns": %.0f,
-    "p50_ns": %.0f,
-    "p95_ns": %.0f,
-    "p99_ns": %.0f,
-    "requests_per_sec": %.0f,
-    "par_requests_per_sec": %.0f,
-    "speedup_4x": %.3f
-  },
-  "fleet_scrape": {
-    "nodes": %d,
-    "scrapes": %d,
-    "mean_ns": %.0f,
-    "scrapes_per_sec": %.0f,
-    "merged_series": %d
-  },
-  "fleet": {
-    "nodes": %.0f,
-    "tenants": %.0f,
-    "events": %.0f,
-    "requests_per_sec": %.0f,
-    "p99_virtual_ns": %.0f,
-    "recall": %.3f
-  },
-  "alert_eval": {
-    "rules": 2,
-    "observations": %d,
-    "ns_per_observation": %.0f,
-    "incidents": %d
-  },
-  "lock_contention": {
-    "uncontended_pair_ns": %.2f,
-    "raw_mutex_pair_ns": %.2f,
-    "acquisitions": %d,
-    "contended": %d,
-    "wait_ns_total": %d,
-    "hold_ns_total": %d
-  },
-  "gc_pressure": {
-    "records": %d,
-    "minor_words_per_record": %.1f,
-    "promoted_words_per_record": %.3f,
-    "minor_collections": %d
-  }
-}
-|}
-        jobs shards alg1_direct alg1_fast (1e9 /. alg1_direct)
-        (1e9 /. alg1_fast)
-        (alg1_direct /. alg1_fast) alg2_direct alg2_fast
-        (alg2_direct /. alg2_fast) records_per_sec audit_records_per_sec
-        ((replay_audit_ns -. replay_ns) /. replay_ns)
-        par_records_per_sec replay_speedup_4x
-        (List.length inputs)
-        seq_wall par_wall
-        (seq_wall /. par_wall)
-        pool_speedup_4x
-        (Array.length shard_occ) shard_occ_json shard_total shard_imbalance
-        Mitos_net.Loadgen.default_config.Mitos_net.Loadgen.batch
-        net_report.Mitos_net.Loadgen.requests
-        net_report.Mitos_net.Loadgen.mean_ns net_report.Mitos_net.Loadgen.p50_ns
-        net_report.Mitos_net.Loadgen.p95_ns net_report.Mitos_net.Loadgen.p99_ns
-        net_report.Mitos_net.Loadgen.throughput_rps net_par_rps net_speedup_4x
-        fleet_node_count fleet_scrape_rounds fleet_mean_ns
-        fleet_scrapes_per_sec fleet_merged_series
-        (chaos_num "nodes") (chaos_num "tenants") (chaos_num "events")
-        (chaos_num "requests_per_sec") (chaos_num "p99_virtual_ns")
-        (chaos_num "recall")
-        alert_obs_count alert_eval_ns alert_incidents
-        uncontended_pair_ns
-        raw_mutex_pair_ns lock_acq lock_cont lock_wait_ns lock_hold_ns
-        (Array.length records) minor_words_per_record promoted_words_per_record
-        minor_collections);
-  Printf.printf "wrote %s\n" path
-
 (* -- live telemetry (--listen) ----------------------------------------- *)
 
 (* A long `bench` run is exactly the kind of invocation an operator
@@ -825,12 +313,11 @@ let start_telemetry = function
   | None -> None
   | Some hostport ->
     let host, port =
-      match String.rindex_opt hostport ':' with
-      | Some i ->
-        ( String.sub hostport 0 i,
-          int_of_string
-            (String.sub hostport (i + 1) (String.length hostport - i - 1)) )
-      | None -> failwith ("--listen wants HOST:PORT, got " ^ hostport)
+      match Mitos_obs.Server.parse_url hostport with
+      | Ok (host, port, _path) -> (host, port)
+      | Error msg ->
+        prerr_endline ("bench: --listen: " ^ msg);
+        exit 2
     in
     let p =
       E.Telemetry.pilot
@@ -901,10 +388,7 @@ let () =
   let with_jobs f = Pool.with_pool ~jobs:!jobs (fun pool -> f ~pool) in
   (match mode with
   | "quick" -> with_jobs (fun ~pool -> run_experiments ~pool ())
-  | "micro" ->
-    run_micro ();
-    print_newline ();
-    write_bench_json ~jobs:!jobs ~shards:!shards "BENCH_decisions.json"
+  | "micro" -> run_micro ()
   | "obs" -> E.Report.print (E.Obs_overhead.run ())
   | "report" ->
     with_jobs (fun ~pool ->
@@ -913,8 +397,6 @@ let () =
   | _ ->
     with_jobs (fun ~pool -> run_experiments ~pool ());
     E.Report.print (E.Obs_overhead.run ());
-    run_micro ();
-    print_newline ();
-    write_bench_json ~jobs:!jobs ~shards:!shards "BENCH_decisions.json");
+    run_micro ());
   Option.iter Mitos_obs.Server.stop server;
   print_newline ()

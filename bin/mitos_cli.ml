@@ -1012,34 +1012,6 @@ let attack_cmd =
        ~doc:"Run the Table II in-memory-attack comparison (all six shells).")
     Term.(const run $ jobs_arg $ listen_arg $ slo_arg)
 
-let obs_bench_cmd =
-  let run records repetitions =
-    if records < 1 then or_die (Error "--records must be at least 1");
-    if repetitions < 1 then or_die (Error "--repetitions must be at least 1");
-    Mitos_experiments.(
-      Report.print (Obs_overhead.run ~records ~repetitions ()))
-  in
-  let records_arg =
-    Arg.(
-      value
-      & opt int 5_000
-      & info [ "records" ] ~docv:"N" ~doc:"Replayed records per repetition.")
-  in
-  let repetitions_arg =
-    Arg.(
-      value
-      & opt int 10
-      & info [ "repetitions" ] ~docv:"K"
-          ~doc:"Repetitions per mode (best wall time is reported).")
-  in
-  Cmd.v
-    (Cmd.info "obs-bench"
-       ~doc:
-         "Measure observability overhead on the engine-replay benchmark: \
-          un-instrumented baseline vs. the no-op sink vs. fully enabled \
-          tracing+metrics.")
-    Term.(const run $ records_arg $ repetitions_arg)
-
 (* -- audit --------------------------------------------------------------- *)
 
 module Audit = Mitos_obs.Audit
@@ -2028,7 +2000,7 @@ let cluster_cmd =
 
 let loadgen_cmd =
   let run endpoint requests batch candidates space publish_every node seed
-      timeout bench_out propagation open_rate pareto_alpha diurnal_amp
+      timeout propagation open_rate pareto_alpha diurnal_amp
       diurnal_period =
     protected @@ fun () ->
     let open_loop =
@@ -2066,12 +2038,7 @@ let loadgen_cmd =
     with
     | Error err -> or_die (Error (Net.Client.error_to_string err))
     | Ok report ->
-      print_string (Net.Loadgen.render report);
-      (match bench_out with
-      | None -> ()
-      | Some path ->
-        Net.Loadgen.merge_into_bench_json ~path ~jobs:1 report;
-        Printf.printf "merged net_decide_batch into %s\n" path)
+      print_string (Net.Loadgen.render report)
   in
   let d = Net.Loadgen.default_config in
   let requests_arg =
@@ -2118,15 +2085,6 @@ let loadgen_cmd =
       value
       & opt float Mitos_obs.Netio.default_timeout
       & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Client socket timeout.")
-  in
-  let bench_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench-out" ] ~docv:"FILE"
-          ~doc:
-            "Merge a net_decide_batch row (p50/p95/p99 ns, requests/s) \
-             into the BENCH_decisions.json at $(docv) for `bench compare'.")
   in
   let propagate_arg =
     Arg.(
@@ -2184,7 +2142,7 @@ let loadgen_cmd =
       $ endpoint_arg ~default:"tcp://127.0.0.1:9900"
           ~doc:"Decision-service endpoint to load."
       $ requests_arg $ batch_arg $ candidates_arg $ space_arg
-      $ publish_every_arg $ node_arg $ seed_arg $ timeout_arg $ bench_out_arg
+      $ publish_every_arg $ node_arg $ seed_arg $ timeout_arg
       $ propagate_arg $ open_rate_arg $ pareto_alpha_arg $ diurnal_amp_arg
       $ diurnal_period_arg)
 
@@ -2362,48 +2320,38 @@ let profile_cmd =
 (* -- bench --------------------------------------------------------------- *)
 
 let bench_compare_cmd =
-  let run old_path new_path tolerance =
+  let run base change =
     protected @@ fun () ->
     let report =
       or_die
-        (Exp.Bench_compare.of_files ~tolerance_pct:tolerance old_path new_path)
+        (Exp.Bench_compare.of_files ~spec:"BENCHMARK.json" ~base ~change)
     in
     print_string (Exp.Bench_compare.render report);
     if not (Exp.Bench_compare.ok report) then exit 1
   in
-  let old_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"OLD" ~doc:"Baseline BENCH_decisions.json.")
-  in
-  let new_arg =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"NEW" ~doc:"Candidate BENCH_decisions.json.")
-  in
-  let tolerance_arg =
-    Arg.(
-      value
-      & opt float 25.0
-      & info [ "tolerance" ] ~docv:"PCT"
-          ~doc:"Allowed regression per metric, in percent.")
+  let runs name ~doc =
+    Arg.(non_empty & opt_all string [] & info [ name ] ~docv:"FILE" ~doc)
   in
   Cmd.v
     (Cmd.info "compare"
        ~doc:
-         "Diff two BENCH_decisions.json files (from `bench micro') and \
-          fail — exit 1 — when a gated metric regressed beyond the \
-          tolerance. Exit 2 on unreadable or unparseable input.")
-    Term.(const run $ old_arg $ new_arg $ tolerance_arg)
+         "Compare bench/perf runs of a base and a change made on the same \
+          runner (each FILE a results.json from `perf.exe run'), per \
+          workload and end-to-end metric of ./BENCHMARK.json. Exit 1 when a \
+          metric's median is worse than the base's by more than its bound \
+          and every change run is worse than every base run, when a change \
+          value is NaN or missing, when a change run is incorrect or when \
+          its failed share rose; exit 2 on unreadable input or runs from \
+          different runners.")
+    Term.(
+      const run
+      $ runs "base" ~doc:"A base results.json (repeat for more runs)."
+      $ runs "change" ~doc:"A change results.json (repeat for more runs).")
 
 let bench_cmd =
   Cmd.group
     (Cmd.info "bench"
-       ~doc:
-         "Benchmark utilities: compare BENCH_decisions.json files (the \
-          perf-regression gate).")
+       ~doc:"Benchmark utilities: compare bench/perf runs (the perf gate).")
     [ bench_compare_cmd ]
 
 (* -- chaos -------------------------------------------------------------- *)
@@ -2412,7 +2360,7 @@ module Chaos = Mitos_chaos
 
 let chaos_cmd =
   let run preset_name plan_file list seed nodes tenants duration transport
-      rate attack_rate slots report_out bench_out =
+      rate attack_rate slots report_out =
     protected @@ fun () ->
     if list then begin
       List.iter
@@ -2492,11 +2440,6 @@ let chaos_cmd =
         ~finally:(fun () -> close_out_noerr oc)
         (fun () -> output_string oc (Chaos.Judge.to_json report));
       Printf.printf "report written to %s\n" path);
-    (match bench_out with
-    | None -> ()
-    | Some path ->
-      Chaos.Judge.merge_into_bench_json ~path report;
-      Printf.printf "merged fleet into %s\n" path);
     exit (Chaos.Judge.exit_code report)
   in
   let preset_arg =
@@ -2579,15 +2522,6 @@ let chaos_cmd =
             "Write the deterministic JSON report (same seed, same \
              bytes) to $(docv).")
   in
-  let bench_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench-out" ] ~docv:"FILE"
-          ~doc:
-            "Merge a `fleet' row (events/s, virtual p99) into the \
-             BENCH_decisions.json at $(docv) for `bench compare'.")
-  in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
@@ -2600,7 +2534,7 @@ let chaos_cmd =
     Term.(
       const run $ preset_arg $ plan_arg $ list_arg $ seed_arg $ nodes_arg
       $ tenants_arg $ duration_arg $ transport_arg $ rate_arg
-      $ attack_rate_arg $ slots_arg $ report_out_arg $ bench_out_arg)
+      $ attack_rate_arg $ slots_arg $ report_out_arg)
 
 (* -- version ------------------------------------------------------------- *)
 
@@ -2625,7 +2559,7 @@ let () =
        (Cmd.group info
           [ list_cmd; run_cmd; experiment_cmd; record_cmd; replay_cmd;
             inspect_cmd; disasm_cmd; map_cmd; why_cmd; solve_cmd; trace_cmd;
-            sites_cmd; litmus_cmd; asm_cmd; attack_cmd; obs_bench_cmd;
+            sites_cmd; litmus_cmd; asm_cmd; attack_cmd;
             audit_cmd; serve_cmd; watch_cmd; alerts_cmd; fleet_cmd;
             serve_decisions_cmd;
             coordinator_cmd; node_cmd; cluster_cmd; loadgen_cmd;

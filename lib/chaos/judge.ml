@@ -401,55 +401,6 @@ let render report =
     (match report.verdict with Pass -> "PASS" | Violation -> "FAIL");
   Buffer.contents buf
 
-(* ---------- the bench row ---------- *)
-
-let bench_row report =
-  let o = report.outcome in
-  let s = report.scenario in
-  let recall, _, _ = recall_of o in
-  Minijson.Obj
-    [
-      ("nodes", int s.config.Fleetsim.nodes);
-      ("tenants", int s.config.Fleetsim.gen.Tenantgen.tenants);
-      ("events", int o.events_total);
-      ( "requests_per_sec",
-        num
-          (if o.wall_seconds > 0.0 then
-             float_of_int o.events_total /. o.wall_seconds
-           else 0.0) );
-      ("p99_virtual_ns", num (Fleetsim.quantile_ns o.latencies_ns 0.99));
-      ("recall", num recall);
-    ]
-
-let merge_into_bench_json ~path report =
-  let doc =
-    if Sys.file_exists path then begin
-      let ic = open_in_bin path in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      match Minijson.parse_result text with
-      | Ok (Minijson.Obj fields) -> fields
-      | Ok _ -> failwith (path ^ ": expected a JSON object")
-      | Error msg -> failwith (path ^ ": " ^ msg)
-    end
-    else [ ("schema", Minijson.Str "mitos-bench-decisions/1") ]
-  in
-  let row = bench_row report in
-  let doc =
-    if List.mem_assoc "fleet" doc then
-      List.map (fun (k, v) -> if k = "fleet" then (k, row) else (k, v)) doc
-    else doc @ [ ("fleet", row) ]
-  in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Minijson.render (Minijson.Obj doc));
-      output_string oc "\n")
-
 (* ---------- presets ---------- *)
 
 let plan_exn text =
@@ -569,7 +520,7 @@ let all_presets =
     (partition, "partition node 2 for 6s; its tenants defer, others serve");
     (frame_fuzz, "corrupt/drop/truncate/oversize frames fleet-wide");
     (ci, "the CI smoke plan: kill+restart under 1% frame corruption");
-    (bench, "throughput plan for the fleet bench row (no attacks)");
+    (bench, "high rate: kill+restart, corruption, slow node; no attacks");
   ]
 
 let presets =

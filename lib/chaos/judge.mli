@@ -70,20 +70,6 @@ val render : report -> string
     ["unexpected retries exhausted: N"] and ["verdict: PASS|FAIL"]
     the CI chaos-smoke job asserts on. *)
 
-(** {1 Bench} *)
-
-val bench_row : report -> Mitos_util.Minijson.t
-(** The ["fleet"] row for [BENCH_decisions.json]: fleet shape, events,
-    sustained wall-clock events/s and the deterministic virtual p99 —
-    the two gated by [bench compare]. *)
-
-val merge_into_bench_json : path:string -> report -> unit
-(** Read the bench JSON at [path] (creating a fresh document when the
-    file is missing), replace or append the ["fleet"] object, and
-    rewrite the file deterministically — the same contract as
-    {!Mitos_net.Loadgen.merge_into_bench_json}. Raises [Failure] on an
-    unparsable existing file. *)
-
 (** {1 Presets} *)
 
 val presets : (string * string) list

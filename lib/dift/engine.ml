@@ -16,7 +16,6 @@ type config = {
   ijump_scope_len : int;
   route_direct_through_policy : bool;
   shadow_backend : Shadow.backend;
-  shadow_shards : int option;
 }
 
 let default_config =
@@ -27,7 +26,6 @@ let default_config =
     ijump_scope_len = 32;
     route_direct_through_policy = false;
     shadow_backend = Shadow.Hashed;
-    shadow_shards = None;
   }
 
 type counters = {
@@ -170,7 +168,7 @@ let install_evict_observer t shadow =
 let attach_shadow t ~mem_size =
   let shadow =
     Shadow.create ~strategy:t.config.eviction ~backend:t.config.shadow_backend
-      ?shards:t.config.shadow_shards ~mem_capacity:mem_size
+      ~mem_capacity:mem_size
       ~num_regs:Mitos_isa.Instr.num_regs ~m_prov:t.config.m_prov ()
   in
   t.shadow <- Some shadow;

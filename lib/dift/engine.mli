@@ -41,11 +41,10 @@ type config = {
   route_direct_through_policy : bool;
       (** consult the policy on direct flows too (Table II's MITOS
           configuration); [false] = classic DIFT direct handling *)
-  shadow_backend : Shadow.backend;  (** hashed (sparse) or paged *)
-  shadow_shards : int option;
-      (** sub-table count for the hashed shadow store; [None] (the
-          default) uses {!Shadow.default_shards} — the process-wide
-          [--shards] knob *)
+  shadow_backend : Shadow.backend;
+      (** hashed (sparse) or paged; the hashed store takes its
+          sub-table count from {!Shadow.default_shards}, the
+          process-wide [--shards] knob *)
 }
 
 val default_config : config

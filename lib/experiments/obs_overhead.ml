@@ -225,8 +225,8 @@ let measure ?(seed = 1) ?(records = 5_000) ?(repetitions = 10) () =
     profiled_s;
   }
 
-let run ?seed ?records ?repetitions () =
-  let r = measure ?seed ?records ?repetitions () in
+let run () =
+  let r = measure () in
   let report =
     Report.create ~title:"Observability overhead (engine replay benchmark)"
   in

@@ -72,6 +72,6 @@ val measure_estimator_contention :
 val contended_share : estimator_contention -> float
 (** [contended / acquisitions], 0 when idle. *)
 
-val run :
-  ?seed:int -> ?records:int -> ?repetitions:int -> unit -> Report.section
-(** The report the bench harness and [mitos-cli obs-bench] print. *)
+val run : unit -> Report.section
+(** The report [bench/main.exe obs] prints: the one entry point for
+    the 5% obs contract. *)

@@ -223,61 +223,3 @@ let render r =
   match r.trace_id with
   | None -> ""
   | Some id -> Printf.sprintf "sample trace id:   %s\n" id
-
-(* -- BENCH_decisions.json merge ---------------------------------------- *)
-
-let render_json ~indent v = Minijson.render ~indent v
-
-let bench_row ~batch r =
-  Minijson.Obj
-    [
-      ("batch", Minijson.Num (float_of_int batch));
-      ("requests", Num (float_of_int r.requests));
-      ("mean_ns", Num (Float.round r.mean_ns));
-      ("p50_ns", Num (Float.round r.p50_ns));
-      ("p95_ns", Num (Float.round r.p95_ns));
-      ("p99_ns", Num (Float.round r.p99_ns));
-      ("requests_per_sec", Num (Float.round r.throughput_rps));
-    ]
-
-let merge_into_bench_json ~path ~jobs r =
-  let batch =
-    if r.requests > 0 then
-      max 1 (int_of_float (Float.round
-                             (float_of_int r.decisions
-                             /. float_of_int r.requests)))
-    else 1
-  in
-  let doc =
-    if Sys.file_exists path then begin
-      let ic = open_in_bin path in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      match Minijson.parse_result text with
-      | Ok (Minijson.Obj fields) -> fields
-      | Ok _ -> failwith (path ^ ": expected a JSON object")
-      | Error msg -> failwith (path ^ ": " ^ msg)
-    end
-    else
-      [
-        ("schema", Minijson.Str "mitos-bench-decisions/1");
-        ("jobs", Minijson.Num (float_of_int jobs));
-      ]
-  in
-  let row = bench_row ~batch r in
-  let doc =
-    if List.mem_assoc "net_decide_batch" doc then
-      List.map
-        (fun (k, v) -> if k = "net_decide_batch" then (k, row) else (k, v))
-        doc
-    else doc @ [ ("net_decide_batch", row) ]
-  in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (render_json ~indent:0 (Minijson.Obj doc));
-      output_string oc "\n")

@@ -7,12 +7,9 @@
     The {e request stream} is a pure function of the seed; the
     latencies of course are not.
 
-    The report lands three ways: a {!render}ed human summary, the
+    The report lands two ways: a {!render}ed human summary and the
     supplied registry ([mitos_net_client_latency_ns] histogram, whose
-    p50/p95/p99 appear in the Prometheus exposition), and optionally a
-    ["net_decide_batch"] row merged into [BENCH_decisions.json] so
-    [mitos-cli bench compare] gates service-path latency like every
-    other benchmarked surface. *)
+    p50/p95/p99 appear in the Prometheus exposition). *)
 
 (** Open-loop arrival shaping: request arrival times follow a seeded
     schedule {e independent of service completions} — Pareto
@@ -94,9 +91,3 @@ val render : report -> string
     ["decision requests: N"] and ["retries exhausted: 0|1"] the CI
     smoke job asserts on, plus ["sample trace id: <id>"] when
     propagation was on. *)
-
-val merge_into_bench_json : path:string -> jobs:int -> report -> unit
-(** Read the bench JSON at [path] (creating a fresh document when the
-    file is missing), replace or append the ["net_decide_batch"]
-    object, and rewrite the file deterministically. Raises [Failure]
-    on an unparsable existing file. *)

@@ -170,6 +170,13 @@ let rec parse_value st =
   | Some 't' -> literal st "true" (Bool true)
   | Some 'f' -> literal st "false" (Bool false)
   | Some 'n' -> literal st "null" Null
+  (* the non-finite spellings render_number writes, so a document with
+     a NaN metric reads back instead of failing to parse *)
+  | Some 'N' -> literal st "NaN" (Num Float.nan)
+  | Some '+' -> literal st "+Inf" (Num infinity)
+  | Some '-'
+    when st.pos + 1 < String.length st.src && st.src.[st.pos + 1] = 'I' ->
+    literal st "-Inf" (Num neg_infinity)
   | Some ('-' | '0' .. '9') -> parse_number st
   | Some c -> fail st (Printf.sprintf "unexpected %C" c)
 

@@ -2,12 +2,13 @@
 
     The repo has no JSON dependency by design: every exporter renders
     its own deterministic text. The consumers that must {e read} JSON
-    back — [mitos-cli bench compare] diffing two [BENCH_decisions.json]
-    files, tests asserting on [/snapshot.json] payloads — go through
-    this parser. It accepts standard JSON (RFC 8259 structure; numbers
-    via [float_of_string], strings with the escapes our own writers
-    emit plus [\uXXXX] for the BMP) and is not streaming: inputs are
-    whole small documents. *)
+    back — [mitos-cli bench compare] reading [bench/perf] results and
+    [BENCHMARK.json], tests asserting on [/snapshot.json] payloads — go
+    through this parser. It accepts standard JSON (RFC 8259 structure;
+    numbers via [float_of_string], strings with the escapes our own
+    writers emit plus [\uXXXX] for the BMP), plus the [NaN], [+Inf]
+    and [-Inf] that {!render_number} writes, and is not streaming:
+    inputs are whole small documents. *)
 
 type t =
   | Null
@@ -42,7 +43,7 @@ val to_string_opt : t -> string option
 (** {1 Rendering}
 
     The one canonical writer for consumers that build a document as a
-    {!t} (the bench-JSON merge, the chaos report). Deterministic:
+    {!t} (the chaos report, [bench/perf] results). Deterministic:
     2-space indentation, fields in list order, numbers formatted
     exactly as [Registry.fmt_value] does — so a parse → render
     round-trip of our own output is byte-identical. *)

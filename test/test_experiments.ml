@@ -339,149 +339,271 @@ let test_flowgraph_counts () =
 
 (* -- bench compare (perf-regression gate) ----------------------------- *)
 
-let bench_json ?(schema = "mitos-bench-decisions/1") ?(fleet_mean = 450000.0)
-    ?(gc_words = 120.0) ~alg1_direct ~replay_rps () =
-  Printf.sprintf
-    {|{
-  "schema": "%s",
-  "alg1": { "direct_ns": %f, "fast_ns": 10.0 },
-  "alg2_batch8_space4": { "direct_ns": 500.0, "fast_ns": 100.0 },
-  "engine_replay": { "records_per_sec": %f, "audit_records_per_sec": 800000.0, "par_records_per_sec": 900000.0 },
-  "pool": { "speedup_4x": 1.0 },
-  "shadow_shards": { "imbalance": 1.05 },
-  "net_decide_batch": { "p50_ns": 20000.0, "requests_per_sec": 50000.0, "par_requests_per_sec": 45000.0 },
-  "fleet_scrape": { "mean_ns": %f },
-  "fleet": { "requests_per_sec": 30000.0, "p99_virtual_ns": 1000000.0 },
-  "alert_eval": { "ns_per_observation": 9000.0 },
-  "lock_contention": { "uncontended_pair_ns": 40.0 },
-  "gc_pressure": { "minor_words_per_record": %f }
-}|}
-    schema alg1_direct replay_rps fleet_mean gc_words
+module J = Mitos_util.Minijson
+module BC = E.Bench_compare
 
-let compare_exn ~tolerance_pct old_json new_json =
-  match E.Bench_compare.of_json ~tolerance_pct ~old_json ~new_json with
+(* The end-to-end metrics with the bounds BENCHMARK.json sets. *)
+let perf_spec =
+  let metric name better bound =
+    J.Obj [ ("name", J.Str name); ("better", J.Str better); ("bound", J.Num bound) ]
+  in
+  J.render
+    (J.Obj
+       [
+         ( "end_to_end",
+           J.List
+             [
+               metric "setup_s" "lower" 0.25;
+               metric "throughput_per_s" "higher" 0.25;
+               metric "latency_p50_us" "lower" 0.25;
+               metric "peak_heap_mb" "lower" 0.15;
+             ] );
+       ])
+
+(* One perf.exe results.json: [workloads] is (name, [(metric, value)]). *)
+let perf_run ?(cpu = "Test CPU @ 2.0GHz") ?(nproc = "2") ?(traced = false)
+    ?(correct = true) ?(failed = 0.0) workloads =
+  let workload (name, metrics) =
+    J.Obj
+      [
+        ("name", J.Str name);
+        ("correct", J.Bool correct);
+        ("attempted", J.Num 1000.0);
+        ("failed", J.Num failed);
+        ("error_rate", J.Num (failed /. 1000.0));
+        ( "metrics",
+          J.Obj
+            (List.map
+               (fun (m, v) -> (m, J.Obj [ ("value", J.Num v); ("unit", J.Str "") ]))
+               metrics) );
+      ]
+  in
+  J.render
+    (J.Obj
+       [
+         ( "runner",
+           J.Obj
+             [
+               ("nproc", J.Str nproc); ("ocaml", J.Str "5.1.1"); ("cpu", J.Str cpu);
+               ("kernel", J.Str "6.18");
+             ] );
+         ("seed", J.Num 1.0);
+         ("seconds", J.Num 5.0);
+         ("traced", J.Bool traced);
+         ("workloads", J.List (List.map workload workloads));
+       ])
+
+let decide ?(name = "decide_tcp") ?(setup = 0.0017) ?(tput = 24000.0)
+    ?(p50 = 30.0) ?(heap = 29.0) () =
+  ( name,
+    [
+      ("setup_s", setup); ("throughput_per_s", tput); ("latency_p50_us", p50);
+      ("peak_heap_mb", heap);
+    ] )
+
+let replay ?(tput = 1.3e6) ?(p50 = 240000.0) () =
+  ( "replay_netbench",
+    [
+      ("setup_s", 0.35); ("throughput_per_s", tput); ("latency_p50_us", p50);
+      ("peak_heap_mb", 120.0);
+    ] )
+
+let compare_exn ~base ~change =
+  match BC.of_json ~spec:perf_spec ~base ~change with
   | Ok r -> r
   | Error e -> Alcotest.fail e
 
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  n = 0 || go 0
+
+let row_names rows = List.map (fun r -> r.BC.workload ^ " " ^ r.BC.metric) rows
+
 let test_bench_compare_ok () =
-  let old_json = bench_json ~alg1_direct:100.0 ~replay_rps:1e6 () in
-  (* 10% slower alg1, 10% lower throughput: inside a 25% tolerance *)
-  let new_json = bench_json ~alg1_direct:110.0 ~replay_rps:0.9e6 () in
-  let r = compare_exn ~tolerance_pct:25.0 old_json new_json in
-  Alcotest.(check bool) "ok" true (E.Bench_compare.ok r);
-  Alcotest.(check int) "all gated metrics compared" 18
-    (List.length r.E.Bench_compare.rows);
-  Alcotest.(check (list string)) "nothing skipped" []
-    r.E.Bench_compare.skipped;
-  let contains hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    n = 0 || go 0
-  in
+  let run () = perf_run [ replay (); decide () ] in
+  let r = compare_exn ~base:[ run (); run () ] ~change:[ run (); run () ] in
+  Alcotest.(check bool) "identical sides pass" true (BC.ok r);
+  Alcotest.(check int) "every workload x metric compared" 8
+    (List.length r.BC.rows);
+  Alcotest.(check (list string)) "nothing skipped" [] r.BC.skipped;
   Alcotest.(check bool) "render says ok" true
-    (contains (E.Bench_compare.render r) "ok: no metric regressed")
+    (contains (BC.render r) "ok: no metric regressed");
+  (* 20% slower and 20% lower throughput, every run: inside the 25%
+     bound, so a pass even though the ranges are disjoint *)
+  let slower = perf_run [ replay ~tput:1.04e6 (); decide ~p50:36.0 () ] in
+  let r = compare_exn ~base:[ run () ] ~change:[ slower ] in
+  Alcotest.(check bool) "within the bound" true (BC.ok r);
+  Alcotest.(check (list string)) "nothing unresolved" []
+    (row_names (BC.unresolved r))
+
+let test_bench_compare_noisy_reruns () =
+  (* four back-to-back runs of unchanged code on a 2-vCPU box: the
+     decide_tcp p50 spread wider than the 25% bound. Split ABAB either
+     way, the medians may differ by more than the bound, but the ranges
+     overlap, so the row is unresolved, not a regression. *)
+  let runs = List.map (fun p50 -> perf_run [ decide ~p50 () ]) in
+  let forward =
+    compare_exn ~base:(runs [ 47.3; 29.2 ]) ~change:(runs [ 32.1; 27.8 ])
+  in
+  Alcotest.(check bool) "faster change passes" true (BC.ok forward);
+  let reverse =
+    compare_exn ~base:(runs [ 32.1; 27.8 ]) ~change:(runs [ 47.3; 29.2 ])
+  in
+  Alcotest.(check bool) "slower change passes" true (BC.ok reverse);
+  Alcotest.(check (list string)) "but is reported unresolved"
+    [ "decide_tcp latency_p50_us" ]
+    (row_names (BC.unresolved reverse));
+  Alcotest.(check bool) "render names it" true
+    (contains (BC.render reverse) "unresolved (not failed): 1 metric(s)")
 
 let test_bench_compare_regression () =
-  let old_json = bench_json ~alg1_direct:100.0 ~replay_rps:1e6 () in
-  (* alg1 50% slower (Lower_better breach), throughput 40% down
-     (Higher_better breach) *)
-  let new_json = bench_json ~alg1_direct:150.0 ~replay_rps:0.6e6 () in
-  let r = compare_exn ~tolerance_pct:25.0 old_json new_json in
-  Alcotest.(check bool) "not ok" false (E.Bench_compare.ok r);
-  let regressed =
+  (* a 1.5x slowdown of one stage: replay throughput down by a third
+     (higher-better) and decide_mem p50 up by half (lower-better), in
+     every run *)
+  let base =
     List.map
-      (fun row -> row.E.Bench_compare.metric)
-      (E.Bench_compare.regressions r)
+      (fun k ->
+        perf_run
+          [
+            replay ~tput:(1.3e6 *. k) ();
+            decide ~name:"decide_mem" ~p50:(10.0 *. k) ();
+          ])
+      [ 1.0; 1.04; 0.97 ]
   in
+  let change =
+    List.map
+      (fun k ->
+        perf_run
+          [
+            replay ~tput:(1.3e6 *. k /. 1.5) ();
+            decide ~name:"decide_mem" ~p50:(15.0 *. k) ();
+          ])
+      [ 1.0; 1.03; 0.98 ]
+  in
+  let r = compare_exn ~base ~change in
+  Alcotest.(check bool) "not ok" false (BC.ok r);
   Alcotest.(check (list string)) "both directions caught"
-    [ "alg1.direct_ns"; "engine_replay.records_per_sec" ]
-    regressed;
-  (* an improvement is a negative change, never a regression *)
-  let faster = bench_json ~alg1_direct:10.0 ~replay_rps:2e6 () in
+    [ "replay_netbench throughput_per_s"; "decide_mem latency_p50_us" ]
+    (row_names (BC.regressions r));
+  let rendered = BC.render r in
+  Alcotest.(check bool) "summary names workload and metric" true
+    (contains rendered
+       "REGRESSION: 2 metric(s): replay_netbench throughput_per_s, decide_mem \
+        latency_p50_us");
+  (* the same runs read the other way round are an improvement *)
   Alcotest.(check bool) "improvement is ok" true
-    (E.Bench_compare.ok (compare_exn ~tolerance_pct:25.0 old_json faster))
+    (BC.ok (compare_exn ~base:change ~change:base))
 
 let test_bench_compare_reports_all_regressions () =
-  let old_json = bench_json ~alg1_direct:100.0 ~replay_rps:1e6 () in
-  (* three independent breaches in one comparison — alg1 50% slower,
-     replay 40% down, fleet scrape 2x slower — all must surface in a
-     single pass, not first-failure-wins *)
-  let new_json =
-    bench_json ~alg1_direct:150.0 ~replay_rps:0.6e6 ~fleet_mean:900000.0 ()
+  (* three independent breaches in one comparison, on two workloads,
+     all surface in a single pass *)
+  let base = [ perf_run [ replay (); decide () ] ] in
+  let change =
+    [ perf_run [ replay ~p50:480000.0 (); decide ~tput:12000.0 ~heap:58.0 () ] ]
   in
-  let r = compare_exn ~tolerance_pct:25.0 old_json new_json in
-  Alcotest.(check bool) "not ok" false (E.Bench_compare.ok r);
-  let regressed =
-    List.map
-      (fun row -> row.E.Bench_compare.metric)
-      (E.Bench_compare.regressions r)
-  in
+  let r = compare_exn ~base ~change in
   Alcotest.(check (list string)) "every regressing row reported"
-    [ "alg1.direct_ns"; "engine_replay.records_per_sec";
-      "fleet_scrape.mean_ns" ]
-    regressed;
-  let rendered = E.Bench_compare.render r in
-  let contains hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    n = 0 || go 0
-  in
-  List.iter
-    (fun m ->
-      Alcotest.(check bool) (m ^ " named in render") true
-        (contains rendered m))
-    regressed;
+    [
+      "replay_netbench latency_p50_us"; "decide_tcp throughput_per_s";
+      "decide_tcp peak_heap_mb";
+    ]
+    (row_names (BC.regressions r));
   Alcotest.(check bool) "summary counts 3" true
-    (contains rendered "REGRESSION: 3 metric(s)")
+    (contains (BC.render r) "REGRESSION: 3 metric(s)")
+
+let test_bench_compare_nan () =
+  let base = [ perf_run [ decide () ]; perf_run [ decide () ] ] in
+  let r =
+    compare_exn ~base
+      ~change:[ perf_run [ decide () ]; perf_run [ decide ~tput:Float.nan () ] ]
+  in
+  Alcotest.(check (list string)) "a NaN change value regresses"
+    [ "decide_tcp throughput_per_s" ]
+    (row_names (BC.regressions r));
+  Alcotest.(check bool) "render says why" true
+    (contains (BC.render r) "NaN/missing in 1 run(s)");
+  (* a workload that vanished from the change has no values at all *)
+  let r = compare_exn ~base ~change:[ perf_run [ replay () ] ] in
+  Alcotest.(check int) "a missing workload regresses on every metric" 4
+    (List.length (BC.regressions r))
+
+let test_bench_compare_checks () =
+  let base = [ perf_run [ decide () ] ] in
+  let fails ~change what =
+    let r = compare_exn ~base ~change in
+    Alcotest.(check bool) what false (BC.ok r);
+    Alcotest.(check (list string)) "no metric row regressed" []
+      (row_names (BC.regressions r));
+    Alcotest.(check bool) "render says FAIL" true
+      (contains (BC.render r) "FAIL: decide_tcp")
+  in
+  fails ~change:[ perf_run [ decide () ]; perf_run ~correct:false [ decide () ] ]
+    "an incorrect change run fails";
+  fails
+    ~change:[ perf_run ~failed:3.0 [ decide () ] ]
+    "a higher failed share fails";
+  let r =
+    compare_exn
+      ~base:[ perf_run ~failed:3.0 [ decide () ] ]
+      ~change:[ perf_run ~failed:3.0 [ decide () ] ]
+  in
+  Alcotest.(check bool) "an equal failed share passes" true (BC.ok r)
+
+let test_bench_compare_incomparable () =
+  let expect_incomparable ~change =
+    match BC.of_json ~spec:perf_spec ~base:[ perf_run [ decide () ] ] ~change with
+    | Error e ->
+      Alcotest.(check bool) ("incomparable: " ^ e) true (contains e "incomparable")
+    | Ok _ -> Alcotest.fail "runs from different runners were compared"
+  in
+  expect_incomparable ~change:[ perf_run ~cpu:"Other CPU" [ decide () ] ];
+  expect_incomparable ~change:[ perf_run ~nproc:"4" [ decide () ] ]
 
 let test_bench_compare_zero_baseline () =
-  (* a zero baseline is compared in absolute terms: a Lower_better row
-     at 0 that becomes 5 regresses at any tolerance, one that stays at
-     0 passes *)
-  let at gc_words =
-    bench_json ~gc_words ~alg1_direct:100.0 ~replay_rps:1e6 ()
-  in
-  let r = compare_exn ~tolerance_pct:25.0 (at 0.0) (at 5.0) in
-  Alcotest.(check (list string)) "0 -> 5 regresses"
-    [ "gc_pressure.minor_words_per_record" ]
-    (List.map
-       (fun row -> row.E.Bench_compare.metric)
-       (E.Bench_compare.regressions r));
-  let rendered = E.Bench_compare.render r in
-  let contains needle =
-    let n = String.length needle and h = String.length rendered in
-    let rec go i =
-      i + n <= h && (String.sub rendered i n = needle || go (i + 1))
-    in
-    go 0
-  in
+  (* a zero baseline is compared in absolute terms: a lower-better row
+     at 0 that becomes 5 regresses, one that stays at 0 passes *)
+  let at setup = [ perf_run [ decide ~setup () ] ] in
+  let r = compare_exn ~base:(at 0.0) ~change:(at 5.0) in
+  Alcotest.(check (list string)) "0 -> 5 regresses" [ "decide_tcp setup_s" ]
+    (row_names (BC.regressions r));
   Alcotest.(check bool) "render shows the absolute change" true
-    (contains "+5.00 abs");
-  Alcotest.(check bool) "0 -> 0 passes" true
-    (E.Bench_compare.ok (compare_exn ~tolerance_pct:25.0 (at 0.0) (at 0.0)))
+    (contains (BC.render r) "+5.00 abs");
+  let r = compare_exn ~base:(at 0.0) ~change:(at 0.0) in
+  Alcotest.(check bool) "0 -> 0 passes" true (BC.ok r);
+  Alcotest.(check (float 0.0)) "0 -> 0 is no change, not NaN" 0.0
+    (List.hd r.BC.rows).BC.change_pct
 
 let test_bench_compare_skipped_and_errors () =
-  let old_json = bench_json ~alg1_direct:100.0 ~replay_rps:1e6 () in
-  let partial =
-    {|{ "schema": "mitos-bench-decisions/1", "alg1": { "direct_ns": 100.0 } }|}
+  (* a metric missing on both sides is skipped, not failed *)
+  let without_heap =
+    ("decide_tcp", List.remove_assoc "peak_heap_mb" (snd (decide ())))
   in
-  let r = compare_exn ~tolerance_pct:25.0 old_json partial in
-  Alcotest.(check bool) "partial file still ok" true (E.Bench_compare.ok r);
-  Alcotest.(check int) "one row compared" 1
-    (List.length r.E.Bench_compare.rows);
-  Alcotest.(check int) "rest skipped" 17
-    (List.length r.E.Bench_compare.skipped);
-  let expect_error ~old_json ~new_json ~tolerance_pct =
-    match E.Bench_compare.of_json ~tolerance_pct ~old_json ~new_json with
+  let r =
+    compare_exn
+      ~base:[ perf_run [ without_heap ] ]
+      ~change:[ perf_run [ without_heap ] ]
+  in
+  Alcotest.(check bool) "still ok" true (BC.ok r);
+  Alcotest.(check int) "three rows compared" 3 (List.length r.BC.rows);
+  Alcotest.(check (list string)) "the missing one skipped"
+    [ "decide_tcp peak_heap_mb" ] r.BC.skipped;
+  let run = perf_run [ decide () ] in
+  let expect_error what ~spec ~base ~change =
+    match BC.of_json ~spec ~base ~change with
     | Error _ -> ()
-    | Ok _ -> Alcotest.fail "expected Error"
+    | Ok _ -> Alcotest.fail ("expected Error: " ^ what)
   in
-  expect_error ~tolerance_pct:25.0 ~old_json ~new_json:"not json{";
-  expect_error ~tolerance_pct:25.0 ~old_json
-    ~new_json:(bench_json ~schema:"other/9" ~alg1_direct:1.0 ~replay_rps:1.0 ());
-  expect_error ~tolerance_pct:(-1.0) ~old_json ~new_json:old_json;
-  match E.Bench_compare.of_files ~tolerance_pct:25.0 "/nonexistent-a.json"
-          "/nonexistent-b.json" with
+  expect_error "unparseable" ~spec:perf_spec ~base:[ run ] ~change:[ "not json{" ];
+  expect_error "not a results file" ~spec:perf_spec ~base:[ run ] ~change:[ "{}" ];
+  expect_error "traced run" ~spec:perf_spec ~base:[ run ]
+    ~change:[ perf_run ~traced:true [ decide () ] ];
+  expect_error "no change run" ~spec:perf_spec ~base:[ run ] ~change:[];
+  expect_error "no end_to_end" ~spec:"{}" ~base:[ run ] ~change:[ run ];
+  match
+    BC.of_files ~spec:"/nonexistent-spec.json" ~base:[ "/nonexistent-a.json" ]
+      ~change:[ "/nonexistent-b.json" ]
+  with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected Error for missing files"
 
@@ -671,10 +793,18 @@ let () =
       ( "bench-compare",
         [
           Alcotest.test_case "within tolerance" `Quick test_bench_compare_ok;
+          Alcotest.test_case "noisy reruns are unresolved" `Quick
+            test_bench_compare_noisy_reruns;
           Alcotest.test_case "regressions both directions" `Quick
             test_bench_compare_regression;
           Alcotest.test_case "all regressions in one pass" `Quick
             test_bench_compare_reports_all_regressions;
+          Alcotest.test_case "NaN or missing change value fails" `Quick
+            test_bench_compare_nan;
+          Alcotest.test_case "incorrect run or failed share fails" `Quick
+            test_bench_compare_checks;
+          Alcotest.test_case "different runner is incomparable" `Quick
+            test_bench_compare_incomparable;
           Alcotest.test_case "skipped metrics and errors" `Quick
             test_bench_compare_skipped_and_errors;
           Alcotest.test_case "zero baseline compares absolutely" `Quick

@@ -1202,40 +1202,6 @@ let test_loadgen_propagation_state_identical () =
   Alcotest.(check int) "decided equal" d1 d2;
   Alcotest.(check (float 0.0)) "global bit-equal" g1 g2
 
-let test_loadgen_bench_merge () =
-  let path = Filename.temp_file "mitos_bench" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Sys.remove path;
-      let report =
-        with_server @@ fun _service ep ->
-        match Loadgen.run ~config:loadgen_config ep with
-        | Ok r -> r
-        | Error err -> Alcotest.fail (Client.error_to_string err)
-      in
-      Loadgen.merge_into_bench_json ~path ~jobs:1 report;
-      (* merging twice must replace, not duplicate *)
-      Loadgen.merge_into_bench_json ~path ~jobs:1 report;
-      let ic = open_in path in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let doc = Mitos_util.Minijson.parse text in
-      (match Mitos_util.Minijson.path [ "net_decide_batch"; "batch" ] doc with
-      | Some (Mitos_util.Minijson.Num n) ->
-        Alcotest.(check int) "batch recorded" 5 (int_of_float n)
-      | _ -> Alcotest.fail "net_decide_batch.batch missing");
-      (match Mitos_util.Minijson.path [ "schema" ] doc with
-      | Some (Mitos_util.Minijson.Str s) ->
-        Alcotest.(check string) "schema" "mitos-bench-decisions/1" s
-      | _ -> Alcotest.fail "schema missing");
-      match Mitos_util.Minijson.path [ "net_decide_batch"; "p50_ns" ] doc with
-      | Some (Mitos_util.Minijson.Num _) -> ()
-      | _ -> Alcotest.fail "p50_ns missing")
-
 (* -- Wire + service: telemetry federation -------------------------------- *)
 
 module Snapshot = Mitos_obs.Registry.Snapshot
@@ -1657,6 +1623,5 @@ let () =
             test_loadgen_trace_propagation_stitches;
           Alcotest.test_case "propagation state-identical" `Quick
             test_loadgen_propagation_state_identical;
-          Alcotest.test_case "bench merge" `Quick test_loadgen_bench_merge;
         ] );
     ]

@@ -536,6 +536,12 @@ let test_minijson_values () =
   | Minijson.List [ Num a; Num b; Num c ] ->
     check_float "a" 1.0 a; check_float "b" 2.0 b; check_float "c" 3.0 c
   | _ -> Alcotest.fail "expected List of Num");
+  (match Minijson.parse "[NaN, +Inf, -Inf]" with
+  | Minijson.List [ Num a; Num b; Num c ] ->
+    Alcotest.(check bool) "NaN" true (Float.is_nan a);
+    check_float "+Inf" infinity b;
+    check_float "-Inf" neg_infinity c
+  | _ -> Alcotest.fail "expected the non-finite numbers render_number writes");
   Alcotest.(check bool) "empty obj" true (Minijson.parse "{}" = Minijson.Obj []);
   Alcotest.(check bool) "empty list" true
     (Minijson.parse "[]" = Minijson.List [])
@@ -571,7 +577,8 @@ let test_minijson_malformed () =
     | Ok _ -> Alcotest.fail (Printf.sprintf "accepted malformed %S" s)
   in
   bad ""; bad "{"; bad "[1,]"; bad "{\"a\":}"; bad "nul"; bad "1 2";
-  bad "\"unterminated"; bad "{\"a\" 1}"; bad "[1 2]"; bad "+5"
+  bad "\"unterminated"; bad "{\"a\" 1}"; bad "[1 2]"; bad "+5"; bad "Na";
+  bad "-In"
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
