@@ -123,7 +123,8 @@ let time_modes ~repetitions ~inner fs =
 
 let no_teardown () = ()
 
-let measure ?(seed = 1) ?(records = 5_000) ?(repetitions = 10) () =
+let measure () =
+  let seed = 1 and records = 5_000 and repetitions = 10 in
   let built = W.Netbench.build ~seed ~chunks:4 () in
   let trace = W.Workload.record built in
   let all = Mitos_replay.Trace.records trace in

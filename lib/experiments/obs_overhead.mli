@@ -24,10 +24,9 @@ type result = {
           context minted per record *)
 }
 
-val measure :
-  ?seed:int -> ?records:int -> ?repetitions:int -> unit -> result
-(** Defaults: seed 1, 5000 records, best of 10 repetitions (after one
-    warm-up) per mode. *)
+val measure : unit -> result
+(** Seed 1, 5000 records, best of 10 repetitions (after one warm-up)
+    per mode. *)
 
 val disabled_overhead : result -> float
 (** [(disabled - baseline) / baseline]; the ≤ 0.05 contract. *)
