@@ -504,6 +504,102 @@ let qcheck_alg2_paper_equals_scanning_homogeneous =
       in
       verdicts Decision.alg2 = verdicts Decision.alg2_paper)
 
+(* Alg. 2 as first written: Eq. (8) through [Cost.marginal] once per
+   candidate to sort, and again per candidate in the greedy pass. The
+   shipped pass computes each part of Eq. (8) once, so it is held to
+   this reference bit for bit, marginals and verdicts, in all three
+   variants. [recompute = false] is the no-line-9 ablation; [paper]
+   stops at the first refusal. *)
+let reference_alg2 ~recompute ~paper p env ~space candidates =
+  let marginal pollution tag =
+    Cost.marginal p (Tag.ty tag)
+      ~n:(float_of_int (env.Decision.count tag))
+      ~pollution
+  in
+  let initial =
+    List.map (fun tag -> (tag, marginal env.Decision.pollution tag)) candidates
+    |> List.stable_sort (fun (_, a) (_, b) -> Float.compare a b)
+  in
+  let pollution = ref env.Decision.pollution in
+  let props = ref 0 in
+  let broken = ref false in
+  List.map
+    (fun (tag, m0) ->
+      let m = if recompute then marginal !pollution tag else m0 in
+      if (not !broken) && !props < space && m <= 0.0 then begin
+        incr props;
+        pollution := !pollution +. Params.o p (Tag.ty tag);
+        (tag, m, Decision.Propagate)
+      end
+      else begin
+        if paper then broken := true;
+        (tag, m, Decision.Block)
+      end)
+    initial
+
+let reference_gen =
+  QCheck.Gen.(
+    let weights =
+      list_repeat Tag_type.count (float_range 0.1 5.0)
+      |> map (List.combine Tag_type.all)
+    in
+    let params =
+      map
+        (fun ((alpha, beta), (tau, tau_scale), (u, o)) ->
+          base_params ~alpha ~beta ~tau ~tau_scale ~u ~o ())
+        (triple
+           (pair
+              (oneof [ return 1.0; float_range 0.3 4.0 ])
+              (oneof [ return 1.0; float_range 1.0 4.0 ]))
+           (pair (oneof [ return 0.0; float_range 0.0 3.0 ]) (float_range 1.0 100.0))
+           (pair weights weights))
+    in
+    let candidates =
+      list_size (0 -- 8)
+        (triple (oneofl Tag_type.all) (int_range 0 5)
+           (oneof [ return 0; int_range 0 200 ]))
+    in
+    let pollution =
+      oneof [ return 0.0; float_range (-500.0) 0.0; float_range 0.0 3000.0 ]
+    in
+    triple params candidates pollution >>= fun (p, raw, pollution) ->
+    map (fun space -> (p, raw, pollution, space)) (0 -- (List.length raw + 1)))
+
+let qcheck_alg2_equals_reference =
+  QCheck.Test.make ~name:"alg2 variants = two-marginal reference (bit-exact)"
+    ~count:1000
+    QCheck.(make reference_gen)
+    (fun (p, raw, pollution, space) ->
+      let table = Hashtbl.create 8 in
+      List.iter (fun (ty, id, n) -> Hashtbl.replace table (Tag.make ty id) n) raw;
+      let env =
+        {
+          Decision.count =
+            (fun tag -> Option.value ~default:0 (Hashtbl.find_opt table tag));
+          pollution;
+        }
+      in
+      let tags = List.map (fun (ty, id, _) -> Tag.make ty id) raw in
+      let same got want =
+        List.length got = List.length want
+        && List.for_all2
+          (fun (r : Decision.ranked) (tag, m, v) ->
+            Tag.equal r.Decision.tag tag
+            && Int64.equal
+                 (Int64.bits_of_float r.Decision.marginal)
+                 (Int64.bits_of_float m)
+            && r.Decision.verdict = v)
+          got want
+      in
+      same (Decision.alg2 p env ~space tags)
+        (reference_alg2 ~recompute:true ~paper:false p env ~space tags)
+      && same
+           (Decision.alg2_no_recompute p env ~space tags)
+           (reference_alg2 ~recompute:false ~paper:false p env ~space tags)
+      && same
+           (Decision.alg2_paper p env ~space tags)
+           (reference_alg2 ~recompute:true ~paper:true p env ~space tags))
+
 (* -- Decision fast path --------------------------------------------------------- *)
 
 (* The fast path claims bit-identical results, so every comparison
@@ -792,6 +888,7 @@ let () =
           Alcotest.test_case "alg2 literal early break" `Quick
             test_alg2_paper_early_break;
           q qcheck_alg2_paper_equals_scanning_homogeneous;
+          q qcheck_alg2_equals_reference;
           Alcotest.test_case "of_stats" `Quick test_of_stats_env;
         ] );
       ( "fast-path",

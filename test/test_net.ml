@@ -328,6 +328,64 @@ let test_wire_error_offsets_pinned () =
   Alcotest.(check string) "invalid trace presence byte" "C4"
     (describe (Wire.decode_request "\x02\x01\x01\x07"))
 
+(* Wire bytes pinned to literal hex: a decide request frame of three
+   requests with a trace context, and the Decisions reply a fresh
+   server frames for it. The reply also pins the Eq. (8) marginals
+   bit for bit. *)
+let hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let test_wire_golden_decide_frames () =
+  let trace =
+    {
+      Mitos_obs.Propagation.trace_id = "0123456789abcdef0123456789abcdef";
+      span_id = "00f067aa0ba902b7";
+    }
+  in
+  let req =
+    Wire.Decide
+      [
+        {
+          Wire.space = 2;
+          pollution = 12.5;
+          candidates =
+            [
+              (Tag.make Tag_type.Network 3, 1);
+              (Tag.make Tag_type.File 70_000, 300);
+              (Tag.make Tag_type.Process 1, 0);
+            ];
+        };
+        {
+          Wire.space = 0;
+          pollution = 0.0;
+          candidates = [ (Tag.make Tag_type.Network 9, 7) ];
+        };
+        {
+          Wire.space = 5;
+          pollution = 250_000.0;
+          candidates =
+            [ (Tag.make Tag_type.File 2, 64); (Tag.make Tag_type.Network 3, 2) ];
+        };
+      ]
+  in
+  let request = Wire.encode_request ~trace ~id:300 req in
+  let reply =
+    match Wire.unframe request ~pos:0 with
+    | Ok (body, _) -> Wire.frame (Server.handle_body (Server.create ~params ()) body)
+    | Error err -> Alcotest.fail (Wire.error_to_string err)
+  in
+  Alcotest.(check string) "request frame"
+    "6b02ac0202012030313233343536373839616263646566303132333435363738\
+     3961626364656610303066303637616130626139303262370302000000000000\
+     29400300030101f0a204ac020201000000000000000000000100090705000000\
+     0080840e4102010240000302"
+    (hex request);
+  Alcotest.(check string) "reply frame"
+    "4d02ac02820103030201000000000000f0ff01000300008068f9ffefbf0101f0\
+     a204505cd9ae45c828bf0001000975649b0739a5abbf00020003cd3b7fc6f1e6\
+     d2bf010102000000d06ccdac3f00"
+    (hex reply)
+
 let test_wire_unknown_tag_type () =
   (* candidate with tag-type 200: Corrupt, not Invalid_argument *)
   let e = Mitos_util.Codec.Enc.create () in
@@ -1536,6 +1594,8 @@ let () =
           Alcotest.test_case "bad kind" `Quick test_wire_bad_kind;
           Alcotest.test_case "trailing garbage" `Quick
             test_wire_trailing_garbage;
+          Alcotest.test_case "golden decide frames" `Quick
+            test_wire_golden_decide_frames;
           Alcotest.test_case "unknown tag type" `Quick
             test_wire_unknown_tag_type;
           QCheck_alcotest.to_alcotest qcheck_request_trace_roundtrip;

@@ -205,6 +205,43 @@ let test_codec_float_string_bool () =
     (roundtrip Codec.Enc.string Codec.Dec.string "hello\000world");
   Alcotest.(check bool) "bool" true (roundtrip Codec.Enc.bool Codec.Dec.bool true)
 
+(* Floats travel as their IEEE-754 bits, little-endian: every value
+   below must come back bit for bit, the NaN payload and the sign of
+   zero included. *)
+let test_codec_float_bits () =
+  let bits f = Int64.bits_of_float f in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check int64) name (bits f)
+        (bits (roundtrip Codec.Enc.float Codec.Dec.float f)))
+    [
+      ("-0.0", -0.0);
+      ("+inf", Float.infinity);
+      ("-inf", Float.neg_infinity);
+      ("smallest subnormal", Int64.float_of_bits 1L);
+      ("largest subnormal", Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL);
+      ("NaN payload", Int64.float_of_bits 0x7FF8_0000_DEAD_BEEFL);
+      ("negative NaN payload", Int64.float_of_bits 0xFFF8_0000_0000_0042L);
+    ];
+  let enc = Codec.Enc.create () in
+  Codec.Enc.float enc 1.0;
+  Codec.Enc.float enc (-0.0);
+  Alcotest.(check string) "little-endian bytes"
+    "\x00\x00\x00\x00\x00\x00\xf0\x3f\x00\x00\x00\x00\x00\x00\x00\x80"
+    (Codec.Enc.contents enc);
+  (* a float cut short fails at the end of the input, as a varint does *)
+  List.iter
+    (fun n ->
+      let dec = Codec.Dec.of_string (String.make n '\x01') in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-byte float raises" n)
+        true
+        (try ignore (Codec.Dec.float dec); false
+         with Codec.Malformed _ -> true);
+      Alcotest.(check int) (Printf.sprintf "%d-byte float offset" n) n
+        (Codec.Dec.pos dec))
+    [ 0; 1; 7 ]
+
 let test_codec_containers () =
   let enc = Codec.Enc.create () in
   Codec.Enc.list enc (Codec.Enc.uint enc) [ 1; 2; 3 ];
@@ -619,6 +656,7 @@ let () =
           Alcotest.test_case "uint" `Quick test_codec_uint;
           Alcotest.test_case "int zigzag" `Quick test_codec_int_zigzag;
           Alcotest.test_case "float/string/bool" `Quick test_codec_float_string_bool;
+          Alcotest.test_case "float bits" `Quick test_codec_float_bits;
           Alcotest.test_case "containers" `Quick test_codec_containers;
           Alcotest.test_case "malformed" `Quick test_codec_malformed;
           Alcotest.test_case "varint edges" `Quick test_codec_varint_edges;
