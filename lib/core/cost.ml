@@ -27,7 +27,7 @@ let total p stats = under_total p stats +. over_total p stats
 
 let under_submarginal p ty ~n =
   if n <= 0.0 then neg_infinity
-  else -.(Params.u p ty *. (n ** -.p.Params.alpha))
+  else -.(p.Params.u.(Tag_type.to_int ty) *. (n ** -.p.Params.alpha))
 
 let over_submarginal p ty ~pollution =
   let n_r = float_of_int p.Params.total_tag_space in
@@ -37,6 +37,11 @@ let over_submarginal p ty ~pollution =
 
 let marginal p ty ~n ~pollution =
   under_submarginal p ty ~n +. over_submarginal p ty ~pollution
+
+let over_factor p pollution =
+  let n_r = float_of_int p.Params.total_tag_space in
+  Params.tau_effective p *. p.Params.beta
+  *. ((Float.max 0.0 pollution /. n_r) ** (p.Params.beta -. 1.0))
 
 (* -- decision fast path ---------------------------------------------- *)
 

@@ -58,6 +58,12 @@ val marginal : Params.t -> Tag_type.t -> n:float -> pollution:float -> float
 (** Eq. (8): [under_submarginal + over_submarginal] — the marginal
     cost of giving this tag one more copy. *)
 
+val over_factor : Params.t -> float -> float
+(** [over_factor p P] is [g(P) = tau_eff · β · (max 0 P/N_R)^(β-1)],
+    the part of {!over_submarginal} that depends on the pollution:
+    [over_factor p P *. o_t] equals [over_submarginal p t ~pollution:P]
+    bit for bit. *)
+
 (** {1 Decision fast path}
 
     Eq. (8) costs two float [**] per evaluation on the per-record hot

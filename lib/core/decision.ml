@@ -128,44 +128,109 @@ let audit_ranked p env ~algorithm ~space ranked =
       ~pollution:env.pollution
       (List.map (fun r -> audit_tag p env r.tag r.marginal r.verdict) ranked)
 
-let run_alg2 ~recompute p env ~space candidates =
+(* How the greedy pass (lines 3-10) takes a candidate's marginal:
+   recomputed at the current pollution (the paper's line 9), kept from
+   the sort (the ablation), or recomputed with the paper's while loop,
+   which stops at the first refusal. *)
+type pass = Recompute | Initial | Stop_at_refusal
+
+(* Lines 1-2: candidate indices by increasing initial marginal, ties
+   in candidate order, as a stable sort gives them. A batch is mostly
+   a handful of candidates, which an insertion sort orders in place;
+   a long one goes to [Array.stable_sort]. *)
+let sorted_by initial =
+  let n = Array.length initial in
+  if n > 16 then begin
+    let order = Array.init n Fun.id in
+    Array.stable_sort (fun i j -> Float.compare initial.(i) initial.(j)) order;
+    order
+  end
+  else begin
+    let order = Array.make n 0 in
+    for k = 1 to n - 1 do
+      let j = ref (k - 1) in
+      while !j >= 0 && Float.compare initial.(order.(!j)) initial.(k) > 0 do
+        order.(!j + 1) <- order.(!j);
+        decr j
+      done;
+      order.(!j + 1) <- k
+    done;
+    order
+  end
+
+(* One Alg. 2 pass. Eq. (8) is [u +. g(P) *. o_t], and only g depends
+   on the pollution: each candidate's undertainting submarginal [u] is
+   computed once, and g once at the start and again only when a
+   candidate is evaluated after an acceptance moved P. These are the
+   float operations of [Cost.marginal] in the same order, so every
+   marginal is bit-identical to it. *)
+let greedy pass p env ~space candidates =
+  let tags = Array.of_list candidates in
+  let n = Array.length tags in
+  let o i = p.Params.o.(Tag_type.to_int tags.(i).Tag.ty) in
+  let under = Array.create_float n and initial = Array.create_float n in
+  let g0 = Cost.over_factor p env.pollution in
+  for i = 0 to n - 1 do
+    let tag = tags.(i) in
+    let u =
+      Cost.under_submarginal p tag.Tag.ty ~n:(float_of_int (env.count tag))
+    in
+    under.(i) <- u;
+    initial.(i) <- u +. (g0 *. o i)
+  done;
+  let order = sorted_by initial in
+  (* Lines 3-10: each acceptance adds o_t to the pollution. Once
+     candidate i is decided, [under.(i)] holds its decision-time
+     marginal. *)
+  let pollution = ref env.pollution and g = ref g0 and moved = ref false in
+  let props = ref 0 and stopped = ref false in
+  let accepted = Bytes.make n '\000' in
+  for k = 0 to n - 1 do
+    let i = order.(k) in
+    let m =
+      match pass with
+      | Initial -> initial.(i)
+      | Recompute | Stop_at_refusal ->
+        if !moved then begin
+          g := Cost.over_factor p !pollution;
+          moved := false
+        end;
+        under.(i) +. (!g *. o i)
+    in
+    under.(i) <- m;
+    if (not !stopped) && !props < space && m <= 0.0 then begin
+      incr props;
+      pollution := !pollution +. o i;
+      moved := true;
+      Bytes.set accepted i '\001'
+    end
+    else
+      match pass with
+      | Stop_at_refusal -> stopped := true
+      | Recompute | Initial -> ()
+  done;
+  let ranked = ref [] in
+  for k = n - 1 downto 0 do
+    let i = order.(k) in
+    let verdict = if Bytes.get accepted i = '\001' then Propagate else Block in
+    ranked := { tag = tags.(i); marginal = under.(i); verdict } :: !ranked
+  done;
+  !ranked
+
+let run_alg2 pass p env ~space candidates =
   if space < 0 then invalid_arg "Decision.alg2: negative space";
   (match Atomic.get probe with
   | None -> ()
   | Some pr ->
     Mitos_obs.Histogram.observe pr.alg2_candidates
       (float_of_int (List.length candidates)));
-  (* Line 1-2: marginals for all candidates, sorted increasingly. *)
-  let initial =
-    List.map (fun tag -> (tag, marginal p env tag)) candidates
-    |> List.stable_sort (fun (_, a) (_, b) -> Float.compare a b)
-  in
-  (* Lines 3-10: greedy pass. Each accepted propagation adds o_t to
-     the pollution, shifting subsequent overtainting submarginals. *)
-  let pollution = ref env.pollution in
-  let props = ref 0 in
-  List.map
-    (fun (tag, initial_marginal) ->
-      let m =
-        if recompute then
-          Cost.marginal p (Tag.ty tag)
-            ~n:(float_of_int (env.count tag))
-            ~pollution:!pollution
-        else initial_marginal
-      in
-      if !props < space && m <= 0.0 then begin
-        incr props;
-        pollution := !pollution +. Params.o p (Tag.ty tag);
-        { tag; marginal = m; verdict = Propagate }
-      end
-      else { tag; marginal = m; verdict = Block })
-    initial
+  greedy pass p env ~space candidates
 
 let alg2 p env ~space candidates =
   timed
     (fun pr -> pr.alg2_latency)
     (fun () ->
-      let ranked = run_alg2 ~recompute:true p env ~space candidates in
+      let ranked = run_alg2 Recompute p env ~space candidates in
       audit_ranked p env ~algorithm:"alg2" ~space ranked;
       ranked)
 
@@ -178,7 +243,7 @@ let alg2_no_recompute p env ~space candidates =
   timed
     (fun pr -> pr.alg2_latency)
     (fun () ->
-      let ranked = run_alg2 ~recompute:false p env ~space candidates in
+      let ranked = run_alg2 Initial p env ~space candidates in
       audit_ranked p env ~algorithm:"alg2-no-recompute" ~space ranked;
       ranked)
 
@@ -208,10 +273,10 @@ let alg1_fast f env tag =
           [ audit_tag (Cost.Fast.params f) env tag m v ]);
       v)
 
-(* Mirrors [run_alg2] step for step; because the table and the
-   pollution cache reproduce Eq. 8 bit-for-bit, the sort keys, the
-   greedy pass and hence the verdicts are identical to the direct
-   formula's. *)
+(* Alg. 2 with [Cost.Fast.marginal] for every evaluation, to sort and
+   in the greedy pass; because the table and the pollution cache
+   reproduce Eq. 8 bit-for-bit, the sort keys, the greedy pass and
+   hence the verdicts are identical to the direct formula's. *)
 let run_alg2_fast ~recompute f env ~space candidates =
   if space < 0 then invalid_arg "Decision.alg2_fast: negative space";
   (match Atomic.get probe with
@@ -265,31 +330,8 @@ let alg2_fast_accepted f env ~space candidates =
   |> List.filter_map (fun r ->
          match r.verdict with Propagate -> Some r.tag | Block -> None)
 
+(* the paper's while loop exits on the first positive marginal (or when
+   space runs out) and never reconsiders *)
 let alg2_paper p env ~space candidates =
   if space < 0 then invalid_arg "Decision.alg2_paper: negative space";
-  let initial =
-    List.map (fun tag -> (tag, marginal p env tag)) candidates
-    |> List.stable_sort (fun (_, a) (_, b) -> Float.compare a b)
-  in
-  let pollution = ref env.pollution in
-  let props = ref 0 in
-  let broken = ref false in
-  List.map
-    (fun (tag, _) ->
-      let m =
-        Cost.marginal p (Tag.ty tag)
-          ~n:(float_of_int (env.count tag))
-          ~pollution:!pollution
-      in
-      if (not !broken) && !props < space && m <= 0.0 then begin
-        incr props;
-        pollution := !pollution +. Params.o p (Tag.ty tag);
-        { tag; marginal = m; verdict = Propagate }
-      end
-      else begin
-        (* the paper's while loop exits on the first positive marginal
-           (or when space runs out) and never reconsiders *)
-        broken := true;
-        { tag; marginal = m; verdict = Block }
-      end)
-    initial
+  greedy Stop_at_refusal p env ~space candidates

@@ -114,25 +114,41 @@ let rec atomic_add cell n =
 
 (* -- request semantics -------------------------------------------------- *)
 
+(* A tag's count is that of its first listing, as the reference
+   check reads it. Alg. 2 asks once per candidate: a short list is
+   scanned, allocating nothing; a long one gets a table, so a
+   hostile batch of many candidates costs linear time, not quadratic. *)
+let rec listed_count tag = function
+  | [] -> 0
+  | (c, n) :: rest -> if Mitos_tag.Tag.equal c tag then n else listed_count tag rest
+
+let scan_limit = 16
+
+let counts candidates =
+  if List.compare_length_with candidates scan_limit <= 0 then fun tag ->
+    listed_count tag candidates
+  else begin
+    let first = Mitos_tag.Tag.Table.create 64 in
+    List.iter
+      (fun (tag, n) ->
+        if not (Mitos_tag.Tag.Table.mem first tag) then
+          Mitos_tag.Tag.Table.add first tag n)
+      candidates;
+    fun tag ->
+      match Mitos_tag.Tag.Table.find first tag with
+      | n -> n
+      | exception Not_found -> 0
+  end
+
 let decide_one t (req : Wire.decide_request) =
-  let count tag =
-    match
-      List.find_opt (fun (c, _) -> Mitos_tag.Tag.equal c tag) req.candidates
-    with
-    | Some (_, n) -> n
-    | None -> 0
-  in
   let env =
-    { Mitos.Decision.count; pollution = req.pollution +. Estimator.global t.est }
+    {
+      Mitos.Decision.count = counts req.candidates;
+      pollution = req.pollution +. Estimator.global t.est;
+    }
   in
-  let ranked =
-    Mitos.Decision.alg2 t.params env ~space:req.space
-      (List.map fst req.candidates)
-  in
-  List.map
-    (fun (r : Mitos.Decision.ranked) ->
-      { Wire.tag = r.tag; marginal = r.marginal; verdict = r.verdict })
-    ranked
+  Mitos.Decision.alg2 t.params env ~space:req.space
+    (List.map fst req.candidates)
 
 let handle_request t (req : Wire.request) : Wire.response =
   match req with

@@ -30,7 +30,7 @@ type decide_request = {
   candidates : (Tag.t * int) list;
 }
 
-type decided = {
+type decided = Mitos.Decision.ranked = {
   tag : Tag.t;
   marginal : float;
   verdict : Mitos.Decision.verdict;
@@ -100,42 +100,78 @@ and k_err = 0xFF
 
 (* -- field codecs ------------------------------------------------------ *)
 
-let enc_tag e tag =
-  Codec.Enc.uint e (Tag_type.to_int (Tag.ty tag));
-  Codec.Enc.uint e (Tag.id tag)
+let enc_tag e (tag : Tag.t) =
+  Codec.Enc.uint e (Tag_type.to_int tag.ty);
+  Codec.Enc.uint e tag.id
 
 let dec_tag d =
   let ty_int = Codec.Dec.uint d in
-  let ty =
-    try Tag_type.of_int ty_int
-    with Invalid_argument _ ->
-      raise (Codec.Malformed (Printf.sprintf "unknown tag type %d" ty_int))
-  in
-  Tag.make ty (Codec.Dec.uint d)
+  if ty_int < 0 || ty_int >= Tag_type.count then
+    raise (Codec.Malformed (Printf.sprintf "unknown tag type %d" ty_int));
+  { Tag.ty = Tag_type.of_int ty_int; id = Codec.Dec.uint d }
 
-let enc_decide_request e (r : decide_request) =
-  Codec.Enc.uint e r.space;
-  Codec.Enc.float e r.pollution;
-  Codec.Enc.list e
-    (fun (tag, count) ->
-      enc_tag e tag;
-      Codec.Enc.uint e count)
-    r.candidates
+(* The decide payloads are written by direct recursion, not through
+   [Codec.Enc.list] with a closure per level: the same bytes (a count
+   varint, then the elements) in fewer calls per candidate. *)
+let rec enc_candidates e = function
+  | [] -> ()
+  | (tag, count) :: rest ->
+    enc_tag e tag;
+    Codec.Enc.uint e count;
+    enc_candidates e rest
+
+let rec enc_decide_requests e = function
+  | [] -> ()
+  | (r : decide_request) :: rest ->
+    Codec.Enc.uint e r.space;
+    Codec.Enc.float e r.pollution;
+    Codec.Enc.uint e (List.length r.candidates);
+    enc_candidates e r.candidates;
+    enc_decide_requests e rest
+
+(* The decide lists are read like [Codec.Dec.list] — the same bytes,
+   errors and offsets — but a list of up to [short] elements is built
+   in order by recursion of bounded depth, with no reversed copy. *)
+let short = 64
+
+let rec dec_in_order d f n =
+  if n = 0 then []
+  else
+    let x = f d in
+    x :: dec_in_order d f (n - 1)
+
+let rec dec_reversed d f acc n =
+  if n = 0 then List.rev acc else dec_reversed d f (f d :: acc) (n - 1)
+
+let dec_list d f =
+  let n = Codec.Dec.uint d in
+  if n < 0 then raise (Codec.Malformed "negative list length");
+  if n <= short then dec_in_order d f n else dec_reversed d f [] n
 
 let dec_decide_request d =
   let space = Codec.Dec.uint d in
   let pollution = Codec.Dec.float d in
   let candidates =
-    Codec.Dec.list d (fun d ->
+    dec_list d (fun d ->
         let tag = dec_tag d in
         (tag, Codec.Dec.uint d))
   in
   { space; pollution; candidates }
 
-let enc_decided e (r : decided) =
-  enc_tag e r.tag;
-  Codec.Enc.float e r.marginal;
-  Codec.Enc.bool e (r.verdict = Mitos.Decision.Propagate)
+let rec enc_decided e = function
+  | [] -> ()
+  | (r : decided) :: rest ->
+    enc_tag e r.tag;
+    Codec.Enc.float e r.marginal;
+    Codec.Enc.bool e (r.verdict = Mitos.Decision.Propagate);
+    enc_decided e rest
+
+let rec enc_decisions e = function
+  | [] -> ()
+  | one :: rest ->
+    Codec.Enc.uint e (List.length one);
+    enc_decided e one;
+    enc_decisions e rest
 
 let dec_decided d =
   let tag = dec_tag d in
@@ -147,10 +183,7 @@ let dec_decided d =
 
 (* -- framing ----------------------------------------------------------- *)
 
-let frame body =
-  let e = Codec.Enc.create ~initial_size:(String.length body + 4) () in
-  Codec.Enc.uint e (String.length body);
-  Codec.Enc.contents e ^ body
+let frame = Codec.length_prefixed
 
 let unframe ?(max_frame = default_max_frame) buf ~pos =
   (* hand-rolled varint read so an incomplete prefix is Truncated, not
@@ -200,7 +233,7 @@ let dec_trace d =
    already knows the context it sent). v1 request bodies have no trace
    field either — encoding a context at version 1 is a caller bug. *)
 let body ?(version = version) ?trace ~has_trace ~id kind payload =
-  if version < 2 && trace <> None then
+  if version < 2 && Option.is_some trace then
     invalid_arg "Wire: trace context requires protocol version >= 2";
   let e = Codec.Enc.create () in
   Codec.Enc.uint e version;
@@ -217,7 +250,9 @@ let encode_request_body ?version ?trace ~id req =
   (match req with
     | Ping -> body ~id k_ping (fun _ -> ())
     | Decide batch ->
-      body ~id k_decide (fun e -> Codec.Enc.list e (enc_decide_request e) batch)
+      body ~id k_decide (fun e ->
+          Codec.Enc.uint e (List.length batch);
+          enc_decide_requests e batch)
     | Publish { node; value } ->
       body ~id k_publish (fun e ->
           Codec.Enc.uint e node;
@@ -233,8 +268,8 @@ let encode_response_body ~id resp =
     | Pong -> body ~id k_pong (fun _ -> ())
     | Decisions batches ->
       body ~id k_decisions (fun e ->
-          Codec.Enc.list e (fun one -> Codec.Enc.list e (enc_decided e) one)
-            batches)
+          Codec.Enc.uint e (List.length batches);
+          enc_decisions e batches)
     | Published g -> body ~id k_published (fun e -> Codec.Enc.float e g)
     | Global g -> body ~id k_global_is (fun e -> Codec.Enc.float e g)
     | Node_value v -> body ~id k_node_value (fun e -> Codec.Enc.float e v)
@@ -287,7 +322,7 @@ let decode_request s =
     (fun d kind ->
       if kind = k_ping then Some Ping
       else if kind = k_decide then
-        Some (Decide (Codec.Dec.list d dec_decide_request))
+        Some (Decide (dec_list d dec_decide_request))
       else if kind = k_publish then
         let node = Codec.Dec.uint d in
         let value = Codec.Dec.float d in
@@ -305,7 +340,7 @@ let decode_response s =
       (fun d kind ->
       if kind = k_pong then Some Pong
       else if kind = k_decisions then
-        Some (Decisions (Codec.Dec.list d (fun d -> Codec.Dec.list d dec_decided)))
+        Some (Decisions (dec_list d (fun d -> dec_list d dec_decided)))
       else if kind = k_published then Some (Published (Codec.Dec.float d))
       else if kind = k_global_is then Some (Global (Codec.Dec.float d))
       else if kind = k_node_value then Some (Node_value (Codec.Dec.float d))

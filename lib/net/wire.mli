@@ -82,10 +82,9 @@ type decide_request = {
   candidates : (Tag.t * int) list;
 }
 
-(** One per-candidate outcome, mirroring
-    {!Mitos.Decision.ranked}: decision-order position, decision-time
-    marginal and verdict. *)
-type decided = {
+(** One per-candidate outcome: {!Mitos.Decision.ranked} itself, so the
+    server encodes what Alg. 2 returns without re-mapping it. *)
+type decided = Mitos.Decision.ranked = {
   tag : Tag.t;
   marginal : float;
   verdict : Mitos.Decision.verdict;
@@ -154,7 +153,7 @@ val encode_response_body : id:int -> response -> string
 
 val frame : string -> string
 (** Prefix an already-encoded body with its varint length — what the
-    socket transports put on the wire. *)
+    socket transports put on the wire — in one allocation. *)
 
 (** {1 Decoding} *)
 

@@ -45,7 +45,10 @@ let flush lp c =
 
 (* Hand the session each complete frame and send what it replies. A
    reply restarts the connection's timeout; partial input does not.
-   After EOF or the timeout the connection closes, replied or not. *)
+   After EOF or the timeout the connection closes, replied or not. A
+   session that raises costs its own connection, not the loop: the
+   replies it buffered this round are dropped and the connection is
+   closed. *)
 let deliver lp c stream data now =
   let rec go pos =
     match c.session stream data pos with
@@ -59,14 +62,18 @@ let deliver lp c stream data now =
       c.deadline <- now +. lp.timeout;
       c.closing <- true
   in
-  go 0;
-  if stream <> Open then c.closing <- true;
-  if Buffer.length lp.replies > 0 then begin
-    c.output <- Buffer.contents lp.replies;
+  match go 0 with
+  | exception _ ->
     Buffer.clear lp.replies;
-    flush lp c
-  end
-  else if c.closing then close lp c
+    close lp c
+  | () ->
+    if stream <> Open then c.closing <- true;
+    if Buffer.length lp.replies > 0 then begin
+      c.output <- Buffer.contents lp.replies;
+      Buffer.clear lp.replies;
+      flush lp c
+    end
+    else if c.closing then close lp c
 
 let readable lp c now =
   match Unix.read c.fd lp.chunk 0 (Bytes.length lp.chunk) with

@@ -21,7 +21,9 @@ type session = stream -> string -> int -> action
     each read and again after each [Reply]: [bytes] is everything
     received and not yet consumed, [pos] where the next frame starts.
     After [Eof] or [Timed_out] the connection closes once the replies
-    are written. *)
+    are written. A session that raises loses its connection, not the
+    loop: the replies it returned since the last read are dropped,
+    the connection is closed and the loop serves on. *)
 
 val start :
   domains:int -> timeout:float -> accept:(unit -> session) ->

@@ -1,38 +1,75 @@
 exception Malformed of string
 
-module Enc = struct
-  type t = Buffer.t
+(* A varint into [buf] at [pos], which has room for it; returns the
+   position after it. Top level, so a write allocates no closure. *)
+let rec put_varint buf pos n =
+  if n < 0x80 then begin
+    Bytes.unsafe_set buf pos (Char.unsafe_chr n);
+    pos + 1
+  end
+  else begin
+    Bytes.unsafe_set buf pos (Char.unsafe_chr (0x80 lor (n land 0x7F)));
+    put_varint buf (pos + 1) (n lsr 7)
+  end
 
-  let create ?(initial_size = 256) () = Buffer.create initial_size
+let rec varint_size n = if n < 0x80 then 1 else 1 + varint_size (n lsr 7)
+
+(* A non-negative int takes at most 9 varint bytes. *)
+let max_varint = 9
+
+let length_prefixed s =
+  let len = String.length s in
+  let buf = Bytes.create (varint_size len + len) in
+  let pos = put_varint buf 0 len in
+  Bytes.blit_string s 0 buf pos len;
+  Bytes.unsafe_to_string buf
+
+module Enc = struct
+  (* Growable bytes: [buf] holds [len] written bytes. *)
+  type t = { mutable buf : Bytes.t; mutable len : int }
+
+  let create ?(initial_size = 256) () =
+    { buf = Bytes.create (max 16 initial_size); len = 0 }
+
+  let grow t n =
+    let need = t.len + n in
+    let buf = Bytes.create (max need (2 * Bytes.length t.buf)) in
+    Bytes.blit t.buf 0 buf 0 t.len;
+    t.buf <- buf
+
+  (* Room for [n] more bytes; the common case is one compare. *)
+  let[@inline] reserve t n = if t.len + n > Bytes.length t.buf then grow t n
 
   let uint t n =
     if n < 0 then invalid_arg "Codec.Enc.uint: negative";
-    let rec go n =
-      if n < 0x80 then Buffer.add_char t (Char.chr n)
-      else begin
-        Buffer.add_char t (Char.chr (0x80 lor (n land 0x7F)));
-        go (n lsr 7)
-      end
-    in
-    go n
+    reserve t max_varint;
+    if n < 0x80 then begin
+      Bytes.unsafe_set t.buf t.len (Char.unsafe_chr n);
+      t.len <- t.len + 1
+    end
+    else t.len <- put_varint t.buf t.len n
 
   let int t n =
     (* zigzag: maps small-magnitude signed ints to small unsigned ints *)
     let z = (n lsl 1) lxor (n asr (Sys.int_size - 1)) in
     uint t (z land max_int)
 
-  let bool t b = Buffer.add_char t (if b then '\001' else '\000')
+  let bool t b =
+    reserve t 1;
+    Bytes.unsafe_set t.buf t.len (if b then '\001' else '\000');
+    t.len <- t.len + 1
 
   let float t f =
-    let bits = Int64.bits_of_float f in
-    for i = 0 to 7 do
-      Buffer.add_char t
-        (Char.chr (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xFF))
-    done
+    reserve t 8;
+    Bytes.set_int64_le t.buf t.len (Int64.bits_of_float f);
+    t.len <- t.len + 8
 
   let string t s =
-    uint t (String.length s);
-    Buffer.add_string t s
+    let n = String.length s in
+    uint t n;
+    reserve t n;
+    Bytes.blit_string s 0 t.buf t.len n;
+    t.len <- t.len + n
 
   let option t f = function
     | None -> bool t false
@@ -48,8 +85,8 @@ module Enc = struct
     uint t (Array.length a);
     Array.iter f a
 
-  let contents = Buffer.contents
-  let length = Buffer.length
+  let contents t = Bytes.sub_string t.buf 0 t.len
+  let length t = t.len
 end
 
 module Dec = struct
@@ -94,16 +131,24 @@ module Dec = struct
     | 1 -> true
     | b -> raise (Malformed (Printf.sprintf "invalid bool byte %d" b))
 
+  (* Cut short, it fails at the end of the input, where a byte-wise
+     read would have. *)
   let float t =
-    let bits = ref 0L in
-    for i = 0 to 7 do
-      bits := Int64.logor !bits (Int64.shift_left (Int64.of_int (byte t)) (8 * i))
-    done;
-    Int64.float_of_bits !bits
+    let pos = t.pos in
+    if String.length t.data - pos < 8 then begin
+      t.pos <- String.length t.data;
+      raise (Malformed "unexpected end of input")
+    end;
+    t.pos <- pos + 8;
+    Int64.float_of_bits (String.get_int64_le t.data pos)
 
+  (* [bytes_left - n] rather than [pos + n]: a hostile length near
+     [max_int] cannot overflow past the check, and a negative one (a
+     nine-byte varint can set the sign bit) fails it too. *)
   let string t =
     let n = uint t in
-    if t.pos + n > String.length t.data then raise (Malformed "string overruns input");
+    if n < 0 || n > String.length t.data - t.pos then
+      raise (Malformed "string overruns input");
     let s = String.sub t.data t.pos n in
     t.pos <- t.pos + n;
     s
@@ -120,9 +165,14 @@ module Dec = struct
     if n < 0 then raise (Malformed "negative list length");
     list_rev t f [] n
 
+  (* Every element takes at least a byte, so a count past the bytes left
+     is refused before [Array.init] allocates for it. [list] needs no
+     such check: it allocates only per element actually read. *)
   let array t f =
     let n = uint t in
     if n < 0 then raise (Malformed "negative array length");
+    if n > String.length t.data - t.pos then
+      raise (Malformed "array overruns input");
     Array.init n (fun _ -> f t)
 
   let pos t = t.pos

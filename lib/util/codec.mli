@@ -6,6 +6,10 @@
 
 exception Malformed of string
 
+val length_prefixed : string -> string
+(** [length_prefixed s] is [s] behind its length as a varint — the
+    bytes {!Enc.string} writes — built in one allocation. *)
+
 (** Encoder: appends to an internal buffer. *)
 module Enc : sig
   type t
@@ -38,10 +42,17 @@ module Dec : sig
   val int : t -> int
   val bool : t -> bool
   val float : t -> float
+  (** Eight little-endian bytes, bit for bit. *)
+
   val string : t -> string
+  (** Raises [Malformed] if the length is negative or overruns the
+      input. *)
+
   val option : t -> (t -> 'a) -> 'a option
   val list : t -> (t -> 'a) -> 'a list
   val array : t -> (t -> 'a) -> 'a array
+  (** Raises [Malformed], before allocating, on a count larger than
+      the bytes left: every element takes at least one byte. *)
 
   val pos : t -> int
   (** Current read offset in bytes — where decoding stands (or where

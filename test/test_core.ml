@@ -554,8 +554,9 @@ let reference_gen =
            (pair (oneof [ return 0.0; float_range 0.0 3.0 ]) (float_range 1.0 100.0))
            (pair weights weights))
     in
+    (* past 16 candidates the pass sorts with [Array.stable_sort] *)
     let candidates =
-      list_size (0 -- 8)
+      list_size (oneof [ 0 -- 8; 17 -- 40 ])
         (triple (oneofl Tag_type.all) (int_range 0 5)
            (oneof [ return 0; int_range 0 200 ]))
     in

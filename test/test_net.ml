@@ -386,6 +386,64 @@ let test_wire_golden_decide_frames () =
      d2bf010102000000d06ccdac3f00"
     (hex reply)
 
+(* Decide lists longer than the short-list path round-trip, and every
+   cut of one fails at the end of the input, as a short one does. *)
+let test_wire_long_decide_lists () =
+  let candidates =
+    List.init 100 (fun i -> (Tag.make Tag_type.File (i * 977), i mod 7))
+  in
+  let one i =
+    { Wire.space = i; pollution = 1.5; candidates = [ List.nth candidates i ] }
+  in
+  let req =
+    Wire.Decide
+      (List.init 70 one @ [ { Wire.space = 3; pollution = 2.0; candidates } ])
+  in
+  (match Wire.decode_request_frame (Wire.encode_request ~id:9 req) with
+  | Ok (9, None, req') ->
+    Alcotest.(check bool) "request round-trips" true (req = req')
+  | _ -> Alcotest.fail "long decide request must decode");
+  let decided =
+    List.map
+      (fun (tag, n) ->
+        {
+          Wire.tag;
+          marginal = float_of_int n -. 3.0;
+          verdict =
+            (if n < 3 then Mitos.Decision.Propagate else Mitos.Decision.Block);
+        })
+      candidates
+  in
+  let resp =
+    Wire.Decisions (List.init 66 (fun _ -> [ List.hd decided ]) @ [ decided ])
+  in
+  (match Wire.decode_response_frame (Wire.encode_response ~id:9 resp) with
+  | Ok (9, resp') ->
+    Alcotest.(check bool) "response round-trips" true (resp = resp')
+  | _ -> Alcotest.fail "long decisions response must decode");
+  let body = Wire.encode_request_body ~id:9 req in
+  List.iter
+    (fun n ->
+      match Wire.decode_request (String.sub body 0 n) with
+      | Error (Wire.Corrupt { offset; _ }) ->
+        Alcotest.(check int) (Printf.sprintf "cut at %d" n) n offset
+      | _ -> Alcotest.failf "cut at %d must be Corrupt" n)
+    (List.init (String.length body) Fun.id)
+
+(* A v2 ping whose trace-id length varint decodes to -1. *)
+let poison_frame = "\x0d\x02\x01\x01\x01\xff\xff\xff\xff\xff\xff\xff\xff\x7f"
+
+let test_wire_negative_string_length () =
+  (match Wire.decode_request_frame poison_frame with
+  | Error (Wire.Corrupt { offset; _ }) ->
+    Alcotest.(check int) "fails where the length varint ends" 13 offset
+  | _ -> Alcotest.fail "expected Corrupt");
+  (* a length past the bytes left fails at the same place *)
+  match Wire.decode_request "\x02\x01\x01\x01\x20abc" with
+  | Error (Wire.Corrupt { offset; _ }) ->
+    Alcotest.(check int) "overrun fails after its length" 5 offset
+  | _ -> Alcotest.fail "expected Corrupt"
+
 let test_wire_unknown_tag_type () =
   (* candidate with tag-type 200: Corrupt, not Invalid_argument *)
   let e = Mitos_util.Codec.Enc.create () in
@@ -770,6 +828,33 @@ let check_within what limit took =
   Alcotest.(check bool)
     (Printf.sprintf "%s within %.1f s (took %.3f s)" what limit took)
     true (took < limit)
+
+let test_poison_frame_keeps_loop () =
+  (* one loop domain: a frame that once killed it gets an Err, and a
+     fresh client is still served *)
+  let config = { Server.default_config with workers = 1; read_timeout = 2.0 } in
+  with_tcp_server config (fun listener ->
+      let ep = Server.endpoint listener in
+      (match ep with
+      | Transport.Tcp { host; port } -> (
+        match Netio.connect_tcp ~timeout:2.0 ~host ~port () with
+        | Error msg -> Alcotest.fail msg
+        | Ok fd ->
+          Fun.protect
+            ~finally:(fun () -> Netio.close_quietly fd)
+            (fun () ->
+              Netio.write_all fd poison_frame;
+              let reply = Bytes.create 256 in
+              let n = Unix.read fd reply 0 256 in
+              match Wire.decode_response_frame (Bytes.sub_string reply 0 n) with
+              | Ok (0, Wire.Err msg) ->
+                Alcotest.(check bool) "Err names the corrupt byte" true
+                  (String.length msg > 0)
+              | _ -> Alcotest.fail "expected one Err frame"))
+      | _ -> Alcotest.fail "expected a TCP endpoint");
+      let c = ok_client (Client.connect ~timeout:2.0 ep) in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+          ok_client (Client.ping c)))
 
 let test_idle_sockets_do_not_stall () =
   (* more idle sockets than loops: a fresh client is still served at
@@ -1596,6 +1681,10 @@ let () =
             test_wire_trailing_garbage;
           Alcotest.test_case "golden decide frames" `Quick
             test_wire_golden_decide_frames;
+          Alcotest.test_case "long decide lists" `Quick
+            test_wire_long_decide_lists;
+          Alcotest.test_case "negative string length" `Quick
+            test_wire_negative_string_length;
           Alcotest.test_case "unknown tag type" `Quick
             test_wire_unknown_tag_type;
           QCheck_alcotest.to_alcotest qcheck_request_trace_roundtrip;
@@ -1625,6 +1714,8 @@ let () =
           Alcotest.test_case "tcp service" `Quick test_tcp_service;
           Alcotest.test_case "corrupt frame mid-stream" `Quick
             test_corrupt_frame_mid_stream;
+          Alcotest.test_case "poison frame keeps the loop" `Quick
+            test_poison_frame_keeps_loop;
           Alcotest.test_case "oversized frame hangs up" `Quick
             test_oversized_frame_hangs_up;
           Alcotest.test_case "idle sockets do not stall" `Quick

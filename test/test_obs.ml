@@ -756,6 +756,35 @@ let test_server_idle_socket_does_not_stall () =
           Alcotest.(check bool) "head in three pieces gets 200" true
             (string_contains (Netio.read_to_eof piecewise) "HTTP/1.0 200")))
 
+(* A session that raises costs its own connection, not the loop: on a
+   single loop domain, a fresh connection is still answered. *)
+let test_netloop_contains_session_exceptions () =
+  let session (stream : Netloop.stream) data pos : Netloop.action =
+    if pos < String.length data then
+      if data.[pos] = '!' then failwith "marker byte"
+      else Reply (String.sub data pos 1, pos + 1)
+    else match stream with Open -> Need_more | Eof | Timed_out -> Reply_close ""
+  in
+  let sock, port = Netio.listen_tcp ~host:"127.0.0.1" ~port:0 () in
+  let stop = Netloop.start ~domains:1 ~timeout:2.0 ~accept:(fun () -> session) sock in
+  let exchange bytes =
+    match Netio.connect_tcp ~timeout:2.0 ~host:"127.0.0.1" ~port () with
+    | Error e -> Alcotest.fail e
+    | Ok fd ->
+      Fun.protect
+        ~finally:(fun () -> Netio.close_quietly fd)
+        (fun () ->
+          Netio.write_all fd bytes;
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          Netio.read_to_eof fd)
+  in
+  Fun.protect ~finally:stop (fun () ->
+      Alcotest.(check string) "echo before" "ok" (exchange "ok");
+      Alcotest.(check string) "raising session: replies dropped, closed" ""
+        (exchange "ab!cd");
+      Alcotest.(check string) "fresh connection still answered" "hi"
+        (exchange "hi"))
+
 let test_server_oneshot_deterministic () =
   let routes = ping_routes (ref 0) in
   (* /boom raises: oneshot must propagate, so drop it for this test *)
@@ -2230,6 +2259,8 @@ let () =
             test_server_rejects_non_get;
           Alcotest.test_case "idle socket does not stall" `Quick
             test_server_idle_socket_does_not_stall;
+          Alcotest.test_case "netloop contains session exceptions" `Quick
+            test_netloop_contains_session_exceptions;
           Alcotest.test_case "oneshot deterministic" `Quick
             test_server_oneshot_deterministic;
           Alcotest.test_case "oneshot propagates" `Quick

@@ -315,6 +315,35 @@ let test_codec_varint_edges () =
   Alcotest.(check (list int)) "sequence" [ 1; 300; 3 ] [ a; b; c ];
   Alcotest.(check int) "sequence ends at 4" 4 (Codec.Dec.pos dec)
 
+(* A length or count is checked against the bytes left before it is
+   used: a negative or oversized one is [Malformed] where the varint
+   ended, never [Invalid_argument] from [String.sub] or an
+   [Array.init] sized by the input. *)
+let test_codec_hostile_lengths () =
+  let outcome read s =
+    let dec = Codec.Dec.of_string s in
+    match read dec with
+    | _ -> Printf.sprintf "ok@%d" (Codec.Dec.pos dec)
+    | exception Codec.Malformed _ -> Printf.sprintf "malformed@%d" (Codec.Dec.pos dec)
+    | exception e -> Printexc.to_string e
+  in
+  let string = outcome Codec.Dec.string in
+  let array = outcome (fun d -> Codec.Dec.array d Codec.Dec.uint) in
+  let minus_one = String.make 8 '\xff' ^ "\x7f" in
+  let max_int_ = String.make 8 '\xff' ^ "\x3f" in
+  Alcotest.(check string) "string length -1" "malformed@9" (string minus_one);
+  Alcotest.(check string) "string length max_int" "malformed@9"
+    (string (max_int_ ^ "abc"));
+  Alcotest.(check string) "string past the end" "malformed@1" (string "\x05ab");
+  Alcotest.(check string) "string to the end" "ok@3" (string "\x02ab");
+  Alcotest.(check string) "array count -1" "malformed@9" (array minus_one);
+  Alcotest.(check string) "array count max_int" "malformed@9" (array max_int_);
+  Alcotest.(check string) "array count 2^40" "malformed@6"
+    (array "\x80\x80\x80\x80\x80\x20");
+  Alcotest.(check string) "array count past the bytes left" "malformed@1"
+    (array "\x05\x01\x02");
+  Alcotest.(check string) "array to the end" "ok@3" (array "\x02\x01\x02")
+
 let qcheck_codec_int_roundtrip =
   QCheck.Test.make ~name:"codec int roundtrip" ~count:500 QCheck.int (fun n ->
       (* zigzag uses one bit; stay within representable range *)
@@ -660,6 +689,7 @@ let () =
           Alcotest.test_case "containers" `Quick test_codec_containers;
           Alcotest.test_case "malformed" `Quick test_codec_malformed;
           Alcotest.test_case "varint edges" `Quick test_codec_varint_edges;
+          Alcotest.test_case "hostile lengths" `Quick test_codec_hostile_lengths;
           q qcheck_codec_int_roundtrip;
           q qcheck_codec_string_roundtrip;
         ] );
