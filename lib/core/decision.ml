@@ -158,6 +158,9 @@ let sorted_by initial =
     order
   end
 
+(* o_t, the pollution weight of the tag's type *)
+let weight p (tag : Tag.t) = p.Params.o.(Tag_type.to_int tag.ty)
+
 (* One Alg. 2 pass. Eq. (8) is [u +. g(P) *. o_t], and only g depends
    on the pollution: each candidate's undertainting submarginal [u] is
    computed once, and g once at the start and again only when a
@@ -167,7 +170,6 @@ let sorted_by initial =
 let greedy pass p env ~space candidates =
   let tags = Array.of_list candidates in
   let n = Array.length tags in
-  let o i = p.Params.o.(Tag_type.to_int tags.(i).Tag.ty) in
   let under = Array.create_float n and initial = Array.create_float n in
   let g0 = Cost.over_factor p env.pollution in
   for i = 0 to n - 1 do
@@ -176,7 +178,7 @@ let greedy pass p env ~space candidates =
       Cost.under_submarginal p tag.Tag.ty ~n:(float_of_int (env.count tag))
     in
     under.(i) <- u;
-    initial.(i) <- u +. (g0 *. o i)
+    initial.(i) <- u +. (g0 *. weight p tag)
   done;
   let order = sorted_by initial in
   (* Lines 3-10: each acceptance adds o_t to the pollution. Once
@@ -195,12 +197,12 @@ let greedy pass p env ~space candidates =
           g := Cost.over_factor p !pollution;
           moved := false
         end;
-        under.(i) +. (!g *. o i)
+        under.(i) +. (!g *. weight p tags.(i))
     in
     under.(i) <- m;
     if (not !stopped) && !props < space && m <= 0.0 then begin
       incr props;
-      pollution := !pollution +. o i;
+      pollution := !pollution +. weight p tags.(i);
       moved := true;
       Bytes.set accepted i '\001'
     end

@@ -563,6 +563,49 @@ let test_loopback_decide_matches_alg2 () =
     outcomes;
   Client.close c
 
+(* The server reads a tag's count from its first listing, as
+   [Decision.alg2] over a first-match lookup does: on a short request,
+   which it scans, and on a long one, which it indexes. *)
+let test_decide_counts_first_listing () =
+  with_server @@ fun _service ep ->
+  let c = ok_client (Client.connect ep) in
+  let dup = Tag.make Tag_type.Network 1 in
+  let short = [ (dup, 5); (Tag.make Tag_type.File 2, 17); (dup, 40) ] in
+  let long =
+    (dup, 3)
+    :: List.init 30 (fun i -> (Tag.make Tag_type.File (100 + i), i))
+    @ [ (dup, 60) ]
+  in
+  let expected candidates =
+    let count tag =
+      match List.find_opt (fun (t, _) -> Tag.equal t tag) candidates with
+      | Some (_, n) -> n
+      | None -> 0
+    in
+    Mitos.Decision.alg2 params
+      { Mitos.Decision.count; pollution = 10.0 }
+      ~space:2 (List.map fst candidates)
+  in
+  let same (got : Wire.decided) (want : Mitos.Decision.ranked) =
+    Tag.equal got.tag want.tag
+    && Int64.equal (Int64.bits_of_float got.marginal)
+         (Int64.bits_of_float want.marginal)
+    && got.verdict = want.verdict
+  in
+  let reqs =
+    List.map
+      (fun candidates -> { Wire.space = 2; pollution = 10.0; candidates })
+      [ short; long ]
+  in
+  (match ok_client (Client.decide c reqs) with
+  | [ got_short; got_long ] ->
+    Alcotest.(check bool) "short request" true
+      (List.equal same got_short (expected short));
+    Alcotest.(check bool) "long request" true
+      (List.equal same got_long (expected long))
+  | _ -> Alcotest.fail "one outcome list per request");
+  Client.close c
+
 let test_malformed_body_gets_err_response () =
   with_server @@ fun service ep ->
   ignore service;
@@ -1709,6 +1752,8 @@ let () =
           Alcotest.test_case "loopback service" `Quick test_loopback_service;
           Alcotest.test_case "decide matches alg2" `Quick
             test_loopback_decide_matches_alg2;
+          Alcotest.test_case "decide counts: first listing" `Quick
+            test_decide_counts_first_listing;
           Alcotest.test_case "malformed body -> Err" `Quick
             test_malformed_body_gets_err_response;
           Alcotest.test_case "tcp service" `Quick test_tcp_service;
