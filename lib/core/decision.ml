@@ -168,56 +168,64 @@ let weight p (tag : Tag.t) = p.Params.o.(Tag_type.to_int tag.ty)
    float operations of [Cost.marginal] in the same order, so every
    marginal is bit-identical to it. *)
 let greedy pass p env ~space candidates =
-  let tags = Array.of_list candidates in
-  let n = Array.length tags in
-  let under = Array.create_float n and initial = Array.create_float n in
-  let g0 = Cost.over_factor p env.pollution in
-  for i = 0 to n - 1 do
-    let tag = tags.(i) in
-    let u =
-      Cost.under_submarginal p tag.Tag.ty ~n:(float_of_int (env.count tag))
-    in
-    under.(i) <- u;
-    initial.(i) <- u +. (g0 *. weight p tag)
-  done;
-  let order = sorted_by initial in
-  (* Lines 3-10: each acceptance adds o_t to the pollution. Once
-     candidate i is decided, [under.(i)] holds its decision-time
-     marginal. *)
-  let pollution = ref env.pollution and g = ref g0 and moved = ref false in
-  let props = ref 0 and stopped = ref false in
-  let accepted = Bytes.make n '\000' in
-  for k = 0 to n - 1 do
-    let i = order.(k) in
-    let m =
-      match pass with
-      | Initial -> initial.(i)
-      | Recompute | Stop_at_refusal ->
-        if !moved then begin
-          g := Cost.over_factor p !pollution;
-          moved := false
-        end;
-        under.(i) +. (!g *. weight p tags.(i))
-    in
-    under.(i) <- m;
-    if (not !stopped) && !props < space && m <= 0.0 then begin
-      incr props;
-      pollution := !pollution +. weight p tags.(i);
-      moved := true;
-      Bytes.set accepted i '\001'
-    end
-    else
-      match pass with
-      | Stop_at_refusal -> stopped := true
-      | Recompute | Initial -> ()
-  done;
-  let ranked = ref [] in
-  for k = n - 1 downto 0 do
-    let i = order.(k) in
-    let verdict = if Bytes.get accepted i = '\001' then Propagate else Block in
-    ranked := { tag = tags.(i); marginal = under.(i); verdict } :: !ranked
-  done;
-  !ranked
+  match candidates with
+  | [] -> []
+  | first :: _ ->
+    let n = List.length candidates in
+    let tags = Array.make n first in
+    let under = Array.create_float n and initial = Array.create_float n in
+    let g0 = Cost.over_factor p env.pollution in
+    let rest = ref candidates in
+    for i = 0 to n - 1 do
+      let tag = List.hd !rest in
+      rest := List.tl !rest;
+      tags.(i) <- tag;
+      let u =
+        Cost.under_submarginal p tag.Tag.ty ~n:(float_of_int (env.count tag))
+      in
+      under.(i) <- u;
+      initial.(i) <- u +. (g0 *. weight p tag)
+    done;
+    let order = sorted_by initial in
+    (* Lines 3-10: each acceptance adds o_t to the pollution. Once
+       candidate i is decided, [under.(i)] holds its decision-time
+       marginal, and [order] holds its index complemented if it was
+       accepted. *)
+    let pollution = ref env.pollution and g = ref g0 and moved = ref false in
+    let props = ref 0 and stopped = ref false in
+    for k = 0 to n - 1 do
+      let i = order.(k) in
+      let o = weight p tags.(i) in
+      let m =
+        match pass with
+        | Initial -> initial.(i)
+        | Recompute | Stop_at_refusal ->
+          if !moved then begin
+            g := Cost.over_factor p !pollution;
+            moved := false
+          end;
+          under.(i) +. (!g *. o)
+      in
+      under.(i) <- m;
+      if (not !stopped) && !props < space && m <= 0.0 then begin
+        incr props;
+        pollution := !pollution +. o;
+        moved := true;
+        order.(k) <- lnot i
+      end
+      else
+        match pass with
+        | Stop_at_refusal -> stopped := true
+        | Recompute | Initial -> ()
+    done;
+    let ranked = ref [] in
+    for k = n - 1 downto 0 do
+      let c = order.(k) in
+      let i = if c < 0 then lnot c else c in
+      let verdict = if c < 0 then Propagate else Block in
+      ranked := { tag = tags.(i); marginal = under.(i); verdict } :: !ranked
+    done;
+    !ranked
 
 let run_alg2 pass p env ~space candidates =
   if space < 0 then invalid_arg "Decision.alg2: negative space";

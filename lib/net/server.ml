@@ -114,13 +114,14 @@ let rec atomic_add cell n =
 
 (* -- request semantics -------------------------------------------------- *)
 
-(* A tag's count is that of its first listing, as the reference
-   check reads it. Alg. 2 asks once per candidate: a short list is
-   scanned, allocating nothing; a long one gets a table, so a
-   hostile batch of many candidates costs linear time, not quadratic. *)
+(* A tag listed twice in a request counts as its first listing. Alg. 2
+   asks once per candidate: a short list is scanned, allocating
+   nothing; a long one gets a table, so a hostile batch of many
+   candidates costs linear time, not quadratic. *)
 let rec listed_count tag = function
   | [] -> 0
-  | (c, n) :: rest -> if Mitos_tag.Tag.equal c tag then n else listed_count tag rest
+  | (c, n) :: rest ->
+    if Mitos_tag.Tag.equal c tag then n else listed_count tag rest
 
 let scan_limit = 16
 

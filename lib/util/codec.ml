@@ -29,7 +29,7 @@ module Enc = struct
   type t = { mutable buf : Bytes.t; mutable len : int }
 
   let create ?(initial_size = 256) () =
-    { buf = Bytes.create (max 16 initial_size); len = 0 }
+    { buf = Bytes.create (max 1 initial_size); len = 0 }
 
   let grow t n =
     let need = t.len + n in
@@ -43,11 +43,7 @@ module Enc = struct
   let uint t n =
     if n < 0 then invalid_arg "Codec.Enc.uint: negative";
     reserve t max_varint;
-    if n < 0x80 then begin
-      Bytes.unsafe_set t.buf t.len (Char.unsafe_chr n);
-      t.len <- t.len + 1
-    end
-    else t.len <- put_varint t.buf t.len n
+    t.len <- put_varint t.buf t.len n
 
   let int t n =
     (* zigzag: maps small-magnitude signed ints to small unsigned ints *)
