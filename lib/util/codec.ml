@@ -138,9 +138,9 @@ module Dec = struct
     t.pos <- pos + 8;
     Int64.float_of_bits (String.get_int64_le t.data pos)
 
-  (* [bytes_left - n] rather than [pos + n]: a hostile length near
-     [max_int] cannot overflow past the check, and a negative one (a
-     nine-byte varint can set the sign bit) fails it too. *)
+  (* The length is compared with the bytes left, not added to [pos]:
+     a hostile length near [max_int] cannot overflow past the check.
+     A nine-byte varint can also set the sign bit. *)
   let string t =
     let n = uint t in
     if n < 0 || n > String.length t.data - t.pos then
