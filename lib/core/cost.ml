@@ -29,19 +29,17 @@ let under_submarginal p ty ~n =
   if n <= 0.0 then neg_infinity
   else -.(p.Params.u.(Tag_type.to_int ty) *. (n ** -.p.Params.alpha))
 
-let over_submarginal p ty ~pollution =
-  let n_r = float_of_int p.Params.total_tag_space in
-  Params.tau_effective p *. p.Params.beta
-  *. ((Float.max 0.0 pollution /. n_r) ** (p.Params.beta -. 1.0))
-  *. Params.o p ty
-
-let marginal p ty ~n ~pollution =
-  under_submarginal p ty ~n +. over_submarginal p ty ~pollution
-
 let over_factor p pollution =
   let n_r = float_of_int p.Params.total_tag_space in
   Params.tau_effective p *. p.Params.beta
   *. ((Float.max 0.0 pollution /. n_r) ** (p.Params.beta -. 1.0))
+
+(* [*.] associates left, so this is g(P)'s product times o_t: the
+   same operations in the same order as writing the product out. *)
+let over_submarginal p ty ~pollution = over_factor p pollution *. Params.o p ty
+
+let marginal p ty ~n ~pollution =
+  under_submarginal p ty ~n +. over_submarginal p ty ~pollution
 
 (* -- decision fast path ---------------------------------------------- *)
 

@@ -135,28 +135,11 @@ let audit_ranked p env ~algorithm ~space ranked =
 type pass = Recompute | Initial | Stop_at_refusal
 
 (* Lines 1-2: candidate indices by increasing initial marginal, ties
-   in candidate order, as a stable sort gives them. A batch is mostly
-   a handful of candidates, which an insertion sort orders in place;
-   a long one goes to [Array.stable_sort]. *)
+   in candidate order, as a stable sort gives them. *)
 let sorted_by initial =
-  let n = Array.length initial in
-  if n > 16 then begin
-    let order = Array.init n Fun.id in
-    Array.stable_sort (fun i j -> Float.compare initial.(i) initial.(j)) order;
-    order
-  end
-  else begin
-    let order = Array.make n 0 in
-    for k = 1 to n - 1 do
-      let j = ref (k - 1) in
-      while !j >= 0 && Float.compare initial.(order.(!j)) initial.(k) > 0 do
-        order.(!j + 1) <- order.(!j);
-        decr j
-      done;
-      order.(!j + 1) <- k
-    done;
-    order
-  end
+  let order = Array.init (Array.length initial) Fun.id in
+  Array.stable_sort (fun i j -> Float.compare initial.(i) initial.(j)) order;
+  order
 
 (* o_t, the pollution weight of the tag's type *)
 let weight p (tag : Tag.t) = p.Params.o.(Tag_type.to_int tag.ty)

@@ -114,32 +114,27 @@ let rec atomic_add cell n =
 
 (* -- request semantics -------------------------------------------------- *)
 
-(* A tag listed twice in a request counts as its first listing. Alg. 2
-   asks once per candidate: a short list is scanned, allocating
-   nothing; a long one gets a table, so a hostile batch of many
-   candidates costs linear time, not quadratic. *)
-let rec listed_count tag = function
-  | [] -> 0
-  | (c, n) :: rest ->
-    if Mitos_tag.Tag.equal c tag then n else listed_count tag rest
-
-let scan_limit = 16
+(* A tag listed twice in a request counts as its first listing. The
+   listings are sorted by tag, where a stable sort keeps a tag's first
+   listing ahead of its later ones, and each of Alg. 2's lookups is a
+   binary search: O(n log n) for a batch of n candidates, whatever
+   tags a client chooses. *)
+let rec leftmost sorted tag lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if Mitos_tag.Tag.compare (fst sorted.(mid)) tag < 0 then
+      leftmost sorted tag (mid + 1) hi
+    else leftmost sorted tag lo mid
 
 let counts candidates =
-  if List.compare_length_with candidates scan_limit <= 0 then fun tag ->
-    listed_count tag candidates
-  else begin
-    let first = Mitos_tag.Tag.Table.create 64 in
-    List.iter
-      (fun (tag, n) ->
-        if not (Mitos_tag.Tag.Table.mem first tag) then
-          Mitos_tag.Tag.Table.add first tag n)
-      candidates;
-    fun tag ->
-      match Mitos_tag.Tag.Table.find first tag with
-      | n -> n
-      | exception Not_found -> 0
-  end
+  let sorted = Array.of_list candidates in
+  Array.stable_sort (fun (a, _) (b, _) -> Mitos_tag.Tag.compare a b) sorted;
+  fun tag ->
+    let i = leftmost sorted tag 0 (Array.length sorted) in
+    if i < Array.length sorted && Mitos_tag.Tag.equal (fst sorted.(i)) tag
+    then snd sorted.(i)
+    else 0
 
 let decide_one t (req : Wire.decide_request) =
   let env =

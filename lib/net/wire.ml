@@ -129,30 +129,11 @@ let rec enc_decide_requests e = function
     enc_candidates e r.candidates;
     enc_decide_requests e rest
 
-(* The decide lists are read like [Codec.Dec.list] — the same bytes,
-   errors and offsets — but a list of up to [short] elements is built
-   in order by recursion of bounded depth, with no reversed copy. *)
-let short = 64
-
-let rec dec_in_order d f n =
-  if n = 0 then []
-  else
-    let x = f d in
-    x :: dec_in_order d f (n - 1)
-
-let rec dec_reversed d f acc n =
-  if n = 0 then List.rev acc else dec_reversed d f (f d :: acc) (n - 1)
-
-let dec_list d f =
-  let n = Codec.Dec.uint d in
-  if n < 0 then raise (Codec.Malformed "negative list length");
-  if n <= short then dec_in_order d f n else dec_reversed d f [] n
-
 let dec_decide_request d =
   let space = Codec.Dec.uint d in
   let pollution = Codec.Dec.float d in
   let candidates =
-    dec_list d (fun d ->
+    Codec.Dec.list d (fun d ->
         let tag = dec_tag d in
         (tag, Codec.Dec.uint d))
   in
@@ -322,7 +303,7 @@ let decode_request s =
     (fun d kind ->
       if kind = k_ping then Some Ping
       else if kind = k_decide then
-        Some (Decide (dec_list d dec_decide_request))
+        Some (Decide (Codec.Dec.list d dec_decide_request))
       else if kind = k_publish then
         let node = Codec.Dec.uint d in
         let value = Codec.Dec.float d in
@@ -340,7 +321,7 @@ let decode_response s =
       (fun d kind ->
       if kind = k_pong then Some Pong
       else if kind = k_decisions then
-        Some (Decisions (dec_list d (fun d -> dec_list d dec_decided)))
+        Some (Decisions (Codec.Dec.list d (fun d -> Codec.Dec.list d dec_decided)))
       else if kind = k_published then Some (Published (Codec.Dec.float d))
       else if kind = k_global_is then Some (Global (Codec.Dec.float d))
       else if kind = k_node_value then Some (Node_value (Codec.Dec.float d))

@@ -386,8 +386,8 @@ let test_wire_golden_decide_frames () =
      d2bf010102000000d06ccdac3f00"
     (hex reply)
 
-(* Decide lists longer than the short-list path round-trip, and every
-   cut of one fails at the end of the input, as a short one does. *)
+(* Long decide lists round-trip, and every cut of one fails at the end
+   of the input, as a short one does. *)
 let test_wire_long_decide_lists () =
   let candidates =
     List.init 100 (fun i -> (Tag.make Tag_type.File (i * 977), i mod 7))
@@ -564,8 +564,8 @@ let test_loopback_decide_matches_alg2 () =
   Client.close c
 
 (* The server reads a tag's count from its first listing, as
-   [Decision.alg2] over a first-match lookup does: on a short request,
-   which it scans, and on a long one, which it indexes. *)
+   [Decision.alg2] over a first-match lookup does, on a short request
+   and on a long one. *)
 let test_decide_counts_first_listing () =
   with_server @@ fun _service ep ->
   let c = ok_client (Client.connect ep) in
@@ -871,6 +871,39 @@ let check_within what limit took =
   Alcotest.(check bool)
     (Printf.sprintf "%s within %.1f s (took %.3f s)" what limit took)
     true (took < limit)
+
+(* Candidate ids a client chooses cannot make the server's count
+   lookup quadratic: ids that are all multiples of 2^20 share their
+   low bits, which put every candidate of a hashed lookup in one
+   bucket (45,000 of them took seconds). The outcome must still be
+   [Decision.alg2]'s. *)
+let test_decide_hostile_ids () =
+  with_server @@ fun _service ep ->
+  let c = ok_client (Client.connect ep) in
+  let candidates =
+    List.init 45_000 (fun i -> (Tag.make Tag_type.File ((i + 1) lsl 20), 1))
+  in
+  let req = { Wire.space = 2; pollution = 10.0; candidates } in
+  let got = ref [] in
+  let took = timed (fun () -> got := ok_client (Client.decide c [ req ])) in
+  check_within "45,000 candidates with ids in one bucket" 1.0 took;
+  let want =
+    Mitos.Decision.alg2 params
+      { Mitos.Decision.count = (fun _ -> 1); pollution = 10.0 }
+      ~space:2 (List.map fst candidates)
+  in
+  (match !got with
+  | [ outcome ] ->
+    Alcotest.(check bool) "same outcome as alg2" true
+      (List.equal
+         (fun (a : Wire.decided) (b : Mitos.Decision.ranked) ->
+           Tag.equal a.tag b.tag
+           && Int64.equal (Int64.bits_of_float a.marginal)
+                (Int64.bits_of_float b.marginal)
+           && a.verdict = b.verdict)
+         outcome want)
+  | _ -> Alcotest.fail "one outcome list per request");
+  Client.close c
 
 let test_poison_frame_keeps_loop () =
   (* one loop domain: a frame that once killed it gets an Err, and a
@@ -1754,6 +1787,8 @@ let () =
             test_loopback_decide_matches_alg2;
           Alcotest.test_case "decide counts: first listing" `Quick
             test_decide_counts_first_listing;
+          Alcotest.test_case "decide counts: hostile ids" `Quick
+            test_decide_hostile_ids;
           Alcotest.test_case "malformed body -> Err" `Quick
             test_malformed_body_gets_err_response;
           Alcotest.test_case "tcp service" `Quick test_tcp_service;
