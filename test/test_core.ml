@@ -554,9 +554,10 @@ let reference_gen =
            (pair (oneof [ return 0.0; float_range 0.0 3.0 ]) (float_range 1.0 100.0))
            (pair weights weights))
     in
-    (* past 16 candidates the pass sorts with [Array.stable_sort] *)
+    (* half the batches a handful of candidates, as a decide request
+       carries; half long enough for [Array.stable_sort] to merge *)
     let candidates =
-      list_size (oneof [ 0 -- 8; 17 -- 40 ])
+      list_size (oneof [ 0 -- 8; 9 -- 40 ])
         (triple (oneofl Tag_type.all) (int_range 0 5)
            (oneof [ return 0; int_range 0 200 ]))
     in
