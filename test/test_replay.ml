@@ -294,6 +294,41 @@ let pinned_cases =
       ( "7e5107d93b376a90c3a8d1a994e1b7f6",
         "steps=14384 direct=10788 indirect=1534 dfp=6733 ifp=857/677 scopes=1024 src=1152 sink=4 ops=16658 evict=0"
         ^ " prop=[857,0,0,0,0,0,0,0] block=[677,0,0,0,0,0,0,0]" ) );
+    ( "netbench mitos no-recompute",
+      (fun () ->
+        replay_fingerprint ~config:Engine.default_config
+          ~policy:(Mitos_dift.Policies.mitos ~recompute:false params)
+          (netbench ())),
+      ( "7e5107d93b376a90c3a8d1a994e1b7f6",
+        "steps=14384 direct=10788 indirect=1534 dfp=6733 ifp=857/677 scopes=1024 src=1152 sink=4 ops=16658 evict=0"
+        ^ " prop=[857,0,0,0,0,0,0,0] block=[677,0,0,0,0,0,0,0]" ) );
+    (* netbench's indirect flows each carry one candidate, where the
+       ablation and line 9 agree; deciding direct flows too gives
+       multi-candidate batches where they do not *)
+    ( "netbench mitos-all-flows no-recompute",
+      (fun () ->
+        replay_fingerprint ~config:Calib.attack_engine_config
+          ~policy:
+            (Mitos_dift.Policies.mitos ~handle_direct:true ~recompute:false
+               params)
+          (netbench ())),
+      ( "274e42808728b0480032f9d12f44151e",
+        "steps=14384 direct=10788 indirect=1195 dfp=5930 ifp=7116/454 scopes=796 src=1152 sink=4 ops=15615 evict=0"
+        ^ " prop=[7116,0,0,0,0,0,0,0] block=[454,0,0,0,0,0,0,0]" ) );
+    ( "netbench mitos-adaptive",
+      (fun () ->
+        (* the budget is tight, so the controller raises tau during the
+           run and the pin covers decisions under several
+           parameterizations *)
+        let controller =
+          Mitos.Adaptive.create ~gain:0.5 ~target_pollution:1e-8 params
+        in
+        replay_fingerprint ~config:Engine.default_config
+          ~policy:(Mitos_dift.Policies.mitos_adaptive ~update_period:64 controller)
+          (netbench ())),
+      ( "0413ef7c3a6442d4fee667508417a044",
+        "steps=14384 direct=10788 indirect=1534 dfp=6418 ifp=388/1146 scopes=1024 src=1152 sink=4 ops=15346 evict=0"
+        ^ " prop=[388,0,0,0,0,0,0,0] block=[1146,0,0,0,0,0,0,0]" ) );
     ( "netbench mitos-all-flows",
       (fun () ->
         replay_fingerprint ~config:Calib.attack_engine_config
