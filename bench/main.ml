@@ -84,20 +84,13 @@ let bench_decision_scaling =
     Mitos.Decision.of_stats params stats
   in
   let subject = net 1 in
-  let fast = Mitos.Decision.fast params in
-  List.concat_map
+  List.map
     (fun live ->
       let env = make_env live in
-      [
-        Test.make
-          ~name:(Printf.sprintf "alg1 decision (%d live tags)" live)
-          (Staged.stage (fun () ->
-               ignore (Mitos.Decision.alg1 params env subject)));
-        Test.make
-          ~name:(Printf.sprintf "alg1 fast decision (%d live tags)" live)
-          (Staged.stage (fun () ->
-               ignore (Mitos.Decision.alg1_fast fast env subject)));
-      ])
+      Test.make
+        ~name:(Printf.sprintf "alg1 decision (%d live tags)" live)
+        (Staged.stage (fun () ->
+             ignore (Mitos.Decision.alg1 params env subject))))
     [ 10; 1_000; 100_000 ]
 
 let bench_alg2 =
@@ -110,14 +103,10 @@ let bench_alg2 =
     [ 1; 2; 3; 4; 5; 6; 7; 8 ];
   let env = Mitos.Decision.of_stats params stats in
   let candidates = List.init 8 (fun i -> net (i + 1)) in
-  let fast = Mitos.Decision.fast params in
   [
     Test.make ~name:"alg2 (8 candidates, space 4)"
       (Staged.stage (fun () ->
            ignore (Mitos.Decision.alg2 params env ~space:4 candidates)));
-    Test.make ~name:"alg2 fast (8 candidates, space 4)"
-      (Staged.stage (fun () ->
-           ignore (Mitos.Decision.alg2_fast fast env ~space:4 candidates)));
   ]
 
 let bench_shadow =

@@ -16,7 +16,11 @@
     derivative with respect to one more copy is exactly the paper's
     Eq. (8) over-submarginal [tau_eff · β · (P/N_R)^(β-1)] (times
     [o_t], which Eq. (8) leaves implicit because the evaluation uses
-    o_t = 1). All functions take the relaxed, real-valued [n]. *)
+    o_t = 1). All functions take the relaxed, real-valued [n].
+
+    Eq. (8) has this one body: every decision caller evaluates it
+    through {!Decision}, as {!under_submarginal} plus
+    [{!over_factor} *. o_t], with no precomputed tables. *)
 
 open Mitos_tag
 
@@ -63,51 +67,3 @@ val over_factor : Params.t -> float -> float
     the part of {!over_submarginal} that depends on the pollution:
     [over_factor p P *. o_t] equals [over_submarginal p t ~pollution:P]
     bit for bit. *)
-
-(** {1 Decision fast path}
-
-    Eq. (8) costs two float [**] per evaluation on the per-record hot
-    path. [Fast] removes both while staying {e bit-identical} to the
-    direct formulas above:
-
-    - the undertainting submarginal is tabulated per tag type for
-      integer copy counts [n ∈ \[0, table_size)] (the engine only ever
-      asks about integer counts), falling back to the exact formula
-      beyond the table;
-    - the overtainting submarginal's power factor
-      [g(P) = tau_eff · β · (P/N_R)^(β-1)] is cached keyed on the
-      pollution value — within an Alg. 2 pass pollution only changes
-      when a propagation is accepted, so the greedy loop's
-      re-evaluations collapse to one multiply.
-
-    A [Fast.t] carries an unsynchronized cache: give each engine (or
-    domain) its own instance. *)
-
-module Fast : sig
-  type t
-
-  val default_table_size : int
-  (** 4096 — covers per-tag copy counts far beyond what the
-      benchmarks reach, at ~32 KiB per instance. *)
-
-  val create : ?table_size:int -> Params.t -> t
-
-  val params : t -> Params.t
-
-  val table_size : t -> int
-
-  val update : t -> Params.t -> t
-  (** Rebind to new parameters. If the undertainting side is
-      unchanged (same [alpha] and [u]) the table is reused and only
-      the pollution cache is dropped — cheap enough for the adaptive
-      controller's periodic τ updates. *)
-
-  val under_submarginal : t -> Mitos_tag.Tag_type.t -> n:int -> float
-  (** Table read for [n] in range; exact formula beyond. Equals
-      [Cost.under_submarginal ~n:(float_of_int n)] bit-for-bit. *)
-
-  val over_submarginal : t -> Mitos_tag.Tag_type.t -> pollution:float -> float
-
-  val marginal : t -> Mitos_tag.Tag_type.t -> n:int -> pollution:float -> float
-  (** Eq. (8), bit-identical to {!Cost.marginal}. *)
-end

@@ -210,22 +210,22 @@ let greedy pass p env ~space candidates =
     done;
     !ranked
 
-let run_alg2 pass p env ~space candidates =
+let run_alg2 pass ~algorithm p env ~space candidates =
   if space < 0 then invalid_arg "Decision.alg2: negative space";
-  (match Atomic.get probe with
-  | None -> ()
-  | Some pr ->
-    Mitos_obs.Histogram.observe pr.alg2_candidates
-      (float_of_int (List.length candidates)));
-  greedy pass p env ~space candidates
-
-let alg2 p env ~space candidates =
   timed
     (fun pr -> pr.alg2_latency)
     (fun () ->
-      let ranked = run_alg2 Recompute p env ~space candidates in
-      audit_ranked p env ~algorithm:"alg2" ~space ranked;
+      (match Atomic.get probe with
+      | None -> ()
+      | Some pr ->
+        Mitos_obs.Histogram.observe pr.alg2_candidates
+          (float_of_int (List.length candidates)));
+      let ranked = greedy pass p env ~space candidates in
+      audit_ranked p env ~algorithm ~space ranked;
       ranked)
+
+let alg2 p env ~space candidates =
+  run_alg2 Recompute ~algorithm:"alg2" p env ~space candidates
 
 let alg2_accepted p env ~space candidates =
   alg2 p env ~space candidates
@@ -233,95 +233,7 @@ let alg2_accepted p env ~space candidates =
          match r.verdict with Propagate -> Some r.tag | Block -> None)
 
 let alg2_no_recompute p env ~space candidates =
-  timed
-    (fun pr -> pr.alg2_latency)
-    (fun () ->
-      let ranked = run_alg2 Initial p env ~space candidates in
-      audit_ranked p env ~algorithm:"alg2-no-recompute" ~space ranked;
-      ranked)
-
-(* -- table-backed fast path ------------------------------------------ *)
-
-type fast = Cost.Fast.t
-
-let fast ?table_size p = Cost.Fast.create ?table_size p
-let fast_params = Cost.Fast.params
-let fast_update = Cost.Fast.update
-
-let marginal_fast f env tag =
-  Cost.Fast.marginal f (Tag.ty tag) ~n:(env.count tag)
-    ~pollution:env.pollution
-
-let alg1_fast f env tag =
-  timed
-    (fun pr -> pr.alg1_latency)
-    (fun () ->
-      let m = marginal_fast f env tag in
-      let v = if m <= 0.0 then Propagate else Block in
-      (match Atomic.get audit_probe with
-      | None -> ()
-      | Some recorder ->
-        Mitos_obs.Audit.record_decision recorder ~algorithm:"alg1-fast"
-          ~space:1 ~pollution:env.pollution
-          [ audit_tag (Cost.Fast.params f) env tag m v ]);
-      v)
-
-(* Alg. 2 with [Cost.Fast.marginal] for every evaluation, to sort and
-   in the greedy pass; because the table and the pollution cache
-   reproduce Eq. 8 bit-for-bit, the sort keys, the greedy pass and
-   hence the verdicts are identical to the direct formula's. *)
-let run_alg2_fast ~recompute f env ~space candidates =
-  if space < 0 then invalid_arg "Decision.alg2_fast: negative space";
-  (match Atomic.get probe with
-  | None -> ()
-  | Some pr ->
-    Mitos_obs.Histogram.observe pr.alg2_candidates
-      (float_of_int (List.length candidates)));
-  let initial =
-    List.map (fun tag -> (tag, marginal_fast f env tag)) candidates
-    |> List.stable_sort (fun (_, a) (_, b) -> Float.compare a b)
-  in
-  let p = Cost.Fast.params f in
-  let pollution = ref env.pollution in
-  let props = ref 0 in
-  List.map
-    (fun (tag, initial_marginal) ->
-      let m =
-        if recompute then
-          Cost.Fast.marginal f (Tag.ty tag) ~n:(env.count tag)
-            ~pollution:!pollution
-        else initial_marginal
-      in
-      if !props < space && m <= 0.0 then begin
-        incr props;
-        pollution := !pollution +. Params.o p (Tag.ty tag);
-        { tag; marginal = m; verdict = Propagate }
-      end
-      else { tag; marginal = m; verdict = Block })
-    initial
-
-let alg2_fast f env ~space candidates =
-  timed
-    (fun pr -> pr.alg2_latency)
-    (fun () ->
-      let ranked = run_alg2_fast ~recompute:true f env ~space candidates in
-      audit_ranked (Cost.Fast.params f) env ~algorithm:"alg2-fast" ~space
-        ranked;
-      ranked)
-
-let alg2_fast_no_recompute f env ~space candidates =
-  timed
-    (fun pr -> pr.alg2_latency)
-    (fun () ->
-      let ranked = run_alg2_fast ~recompute:false f env ~space candidates in
-      audit_ranked (Cost.Fast.params f) env
-        ~algorithm:"alg2-fast-no-recompute" ~space ranked;
-      ranked)
-
-let alg2_fast_accepted f env ~space candidates =
-  alg2_fast f env ~space candidates
-  |> List.filter_map (fun r ->
-         match r.verdict with Propagate -> Some r.tag | Block -> None)
+  run_alg2 Initial ~algorithm:"alg2-no-recompute" p env ~space candidates
 
 (* the paper's while loop exits on the first positive marginal (or when
    space runs out) and never reconsiders *)

@@ -58,39 +58,6 @@ val alg2_no_recompute :
 (** Ablation: Algorithm 2 with line 9 disabled — marginals are
     evaluated once against the initial pollution. *)
 
-(** {1 Table-backed fast path}
-
-    The same algorithms over {!Cost.Fast}: no float [**] on the hot
-    path, bit-identical marginals and verdicts (property-tested).
-    A [fast] value owns an unsynchronized pollution cache — create
-    one per engine/domain; {!Policies.mitos} does this internally. *)
-
-type fast = Cost.Fast.t
-
-val fast : ?table_size:int -> Params.t -> fast
-val fast_params : fast -> Params.t
-
-val fast_update : fast -> Params.t -> fast
-(** {!Cost.Fast.update}: cheap when only the overtainting side (τ)
-    changed. *)
-
-val marginal_fast : fast -> env -> Tag.t -> float
-(** {!marginal} via table reads — bit-identical to the direct
-    formula. *)
-
-val alg1_fast : fast -> env -> Tag.t -> verdict
-(** {!alg1} via table reads. *)
-
-val alg2_fast : fast -> env -> space:int -> Tag.t list -> ranked list
-(** {!alg2} via table reads; within the greedy pass the pollution
-    power factor is recomputed only when an accepted propagation
-    actually moves the pollution. *)
-
-val alg2_fast_accepted : fast -> env -> space:int -> Tag.t list -> Tag.t list
-
-val alg2_fast_no_recompute :
-  fast -> env -> space:int -> Tag.t list -> ranked list
-
 val alg2_paper : Params.t -> env -> space:int -> Tag.t list -> ranked list
 (** The literal transcription of the paper's Algorithm 2: the while
     loop stops at the {e first} candidate whose (recomputed) marginal
@@ -126,8 +93,8 @@ val set_obs : Mitos_obs.Obs.t option -> unit
 
 val set_audit : Mitos_obs.Audit.t option -> unit
 (** Route every decision into an audit flight recorder: {!alg1},
-    {!alg2} and their table-backed fast variants each append one
-    [Decision] record — algorithm name, the ambient flow context (see
+    {!alg2} and {!alg2_no_recompute} each append one [Decision]
+    record — algorithm name, the ambient flow context (see
     [Mitos_obs.Audit.set_context]), the space and pollution the
     decision saw, and per candidate the {!submarginals} split,
     decision-time marginal and verdict.

@@ -85,12 +85,6 @@ let with_o t ty w =
 
 let tau_effective t = t.tau *. t.tau_scale
 
-let equal a b =
-  a.alpha = b.alpha && a.beta = b.beta && a.tau = b.tau
-  && a.tau_scale = b.tau_scale && a.u = b.u && a.o = b.o
-  && a.total_tag_space = b.total_tag_space
-  && a.mem_capacity = b.mem_capacity
-
 let pp ppf t =
   Format.fprintf ppf
     "{alpha=%g; beta=%g; tau=%g (x%g); N_R=%d; R=%d}" t.alpha t.beta t.tau

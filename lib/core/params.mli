@@ -19,7 +19,12 @@
     - [total_tag_space]: N_R = R·M_prov.
     - [mem_capacity]: R, the per-tag copy cap of constraint Eq. (7).
 
-    The paper's defaults (§V): α = 1.5, β = 2, τ = 1, u_t = o_t = 1. *)
+    The paper's defaults (§V): α = 1.5, β = 2, τ = 1, u_t = o_t = 1.
+
+    The [with_*] setters return a new [t] and leave the old one as it
+    was. Nothing is derived from a [t] ahead of a decision, so a
+    caller that moves τ (the adaptive controller) just decides under
+    the new value. *)
 
 open Mitos_tag
 
@@ -66,11 +71,6 @@ val with_o : t -> Tag_type.t -> float -> t
 
 val tau_effective : t -> float
 (** [tau *. tau_scale]. *)
-
-val equal : t -> t -> bool
-(** Structural equality on every field (weight arrays compared
-    element-wise). Lets caches — {!Cost.Fast} notably — detect
-    whether a rebuilt parameterization actually changed. *)
 
 val validate :
   alpha:float -> beta:float -> tau:float -> tau_scale:float ->

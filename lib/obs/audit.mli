@@ -42,7 +42,8 @@ type tag_decision = {
 
 type body =
   | Decision of {
-      algorithm : string;  (** "alg1", "alg2", "alg2-fast", ... *)
+      algorithm : string;
+          (** "alg1", "alg2" or "alg2-no-recompute" *)
       flow : string;  (** flow kind, as [Policy.flow_kind_to_string] *)
       space : int;  (** free provenance slots at the destination *)
       pollution : float;  (** weighted pollution P the decision saw *)
