@@ -42,6 +42,7 @@ type t = {
   decisions_total : Registry.counter;
   errors_total : Registry.counter;
   connections_total : Registry.counter;
+  session_errors_total : Registry.counter;
   served : int Atomic.t;
   decided : int Atomic.t;
   publishes : int Atomic.t;
@@ -96,6 +97,10 @@ let create ?(config = default_config) ?registry ?(obs = Obs.disabled) ~params
     connections_total =
       Registry.counter reg ~help:"connections accepted"
         "mitos_net_connections_total";
+    session_errors_total =
+      Registry.counter reg
+        ~help:"connections closed because their session raised"
+        "mitos_net_session_errors_total";
     served = Atomic.make 0;
     decided = Atomic.make 0;
     publishes = Atomic.make 0;
@@ -281,7 +286,9 @@ let serve t sock =
     session
   in
   Netloop.start ~domains:(max 1 t.config.workers)
-    ~timeout:t.config.read_timeout ~accept sock
+    ~timeout:t.config.read_timeout ~accept
+    ~on_error:(fun _ -> Registry.incr t.session_errors_total)
+    sock
 
 let start t ep =
   match ep with

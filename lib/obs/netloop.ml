@@ -17,6 +17,7 @@ type conn = {
 type loop = {
   listening : Unix.file_descr;
   accept : unit -> session;
+  on_error : exn -> unit;
   timeout : float;
   conns : (Unix.file_descr, conn) Hashtbl.t;
   chunk : Bytes.t;
@@ -47,8 +48,8 @@ let flush lp c =
    reply restarts the connection's timeout; partial input does not.
    After EOF or the timeout the connection closes, replied or not. A
    session that raises costs its own connection, not the loop: the
-   replies it buffered this round are dropped and the connection is
-   closed. *)
+   replies it buffered this round are dropped, the exception is
+   reported and the connection is closed. *)
 let deliver lp c stream data now =
   let rec go pos =
     match c.session stream data pos with
@@ -63,8 +64,9 @@ let deliver lp c stream data now =
       c.closing <- true
   in
   match go 0 with
-  | exception _ ->
+  | exception e ->
     Buffer.clear lp.replies;
+    lp.on_error e;
     close lp c
   | () ->
     if stream <> Open then c.closing <- true;
@@ -152,13 +154,13 @@ let serve lp stopping =
   done;
   Hashtbl.iter (fun fd _ -> Netio.close_quietly fd) lp.conns
 
-let start ~domains ~timeout ~accept sock =
+let start ~domains ~timeout ~accept ~on_error sock =
   if domains < 1 then invalid_arg "Netloop.start: domains must be >= 1";
   Unix.set_nonblock sock;
   let stopping = Atomic.make false in
   let loop () =
     serve
-      { listening = sock; accept; timeout; conns = Hashtbl.create 16;
+      { listening = sock; accept; on_error; timeout; conns = Hashtbl.create 16;
         chunk = Bytes.create 65536; replies = Buffer.create 4096; sets = None;
         next_scan = 0.0 }
       stopping

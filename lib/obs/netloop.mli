@@ -23,13 +23,15 @@ type session = stream -> string -> int -> action
     After [Eof] or [Timed_out] the connection closes once the replies
     are written. A session that raises loses its connection, not the
     loop: the replies it returned since the last read are dropped,
-    the connection is closed and the loop serves on. *)
+    the exception goes to [start]'s [on_error], the connection is
+    closed and the loop serves on. *)
 
 val start :
   domains:int -> timeout:float -> accept:(unit -> session) ->
-  Unix.file_descr -> unit -> unit
+  on_error:(exn -> unit) -> Unix.file_descr -> unit -> unit
 (** Serve the listening socket, which the loop now owns, on [domains]
     (≥ 1) loop domains; [accept] gives each new connection its
-    session. Returns the idempotent stop: it ends the loops within a
+    session. [on_error] runs on the loop domain with each exception a
+    session raised, before its connection is closed. Returns the idempotent stop: it ends the loops within a
     tick (open connections are closed, pending output dropped), joins
     them and closes the listening socket. *)

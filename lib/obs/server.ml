@@ -138,7 +138,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) routes =
   in
   let stop =
     Netloop.start ~domains:1 ~timeout:Netio.default_timeout
-      ~accept:(http_session routes) sock
+      ~accept:(http_session routes) ~on_error:ignore sock
   in
   { stop; bound_host = host; bound_port }
 

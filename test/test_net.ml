@@ -906,10 +906,20 @@ let test_decide_hostile_ids () =
   Client.close c
 
 let test_poison_frame_keeps_loop () =
-  (* one loop domain: a frame that once killed it gets an Err, and a
-     fresh client is still served *)
+  (* one loop domain: a frame that once killed it gets an Err from the
+     decoder, not a dropped session, and a fresh client is still
+     served *)
   let config = { Server.default_config with workers = 1; read_timeout = 2.0 } in
-  with_tcp_server config (fun listener ->
+  let registry = Mitos_obs.Registry.create () in
+  let session_errors () =
+    let metrics = Mitos_obs.Registry.to_prometheus registry in
+    List.find_opt
+      (String.starts_with ~prefix:"mitos_net_session_errors_total ")
+      (String.split_on_char '\n' metrics)
+  in
+  with_tcp_server ~registry config (fun listener ->
+      Alcotest.(check (option string)) "session errors read 0 at start"
+        (Some "mitos_net_session_errors_total 0") (session_errors ());
       let ep = Server.endpoint listener in
       (match ep with
       | Transport.Tcp { host; port } -> (
@@ -930,7 +940,9 @@ let test_poison_frame_keeps_loop () =
       | _ -> Alcotest.fail "expected a TCP endpoint");
       let c = ok_client (Client.connect ~timeout:2.0 ep) in
       Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
-          ok_client (Client.ping c)))
+          ok_client (Client.ping c));
+      Alcotest.(check (option string)) "no session dropped"
+        (Some "mitos_net_session_errors_total 0") (session_errors ()))
 
 let test_idle_sockets_do_not_stall () =
   (* more idle sockets than loops: a fresh client is still served at

@@ -766,7 +766,11 @@ let test_netloop_contains_session_exceptions () =
     else match stream with Open -> Need_more | Eof | Timed_out -> Reply_close ""
   in
   let sock, port = Netio.listen_tcp ~host:"127.0.0.1" ~port:0 () in
-  let stop = Netloop.start ~domains:1 ~timeout:2.0 ~accept:(fun () -> session) sock in
+  let errors = Atomic.make 0 in
+  let stop =
+    Netloop.start ~domains:1 ~timeout:2.0 ~accept:(fun () -> session)
+      ~on_error:(fun _ -> Atomic.incr errors) sock
+  in
   let exchange bytes =
     match Netio.connect_tcp ~timeout:2.0 ~host:"127.0.0.1" ~port () with
     | Error e -> Alcotest.fail e
@@ -782,6 +786,7 @@ let test_netloop_contains_session_exceptions () =
       Alcotest.(check string) "echo before" "ok" (exchange "ok");
       Alcotest.(check string) "raising session: replies dropped, closed" ""
         (exchange "ab!cd");
+      Alcotest.(check int) "the exception is counted" 1 (Atomic.get errors);
       Alcotest.(check string) "fresh connection still answered" "hi"
         (exchange "hi"))
 
