@@ -78,49 +78,32 @@ let sys_events effects =
 
 let events_of_record t (r : Machine.exec_record) =
   match r.instr with
-  | Instr.Load (_, rd, rb, _) ->
-    let addr, len =
-      match r.mem_read with
-      | Some al -> al
-      | None -> assert false (* loads always read memory *)
-    in
+  | Instr.Load (w, rd, rb, _) ->
+    let srcs = Loc.mem_range r.mem_addr (Instr.bytes_of_width w) in
     [
-      Copy { srcs = Loc.mem_range addr len; dsts = [ Loc.Reg rd ] };
+      Copy { srcs; dsts = [ Loc.Reg rd ] };
       Addr_dep { addr_srcs = [ Loc.Reg rb ]; dsts = [ Loc.Reg rd ] };
     ]
-  | Instr.Store (_, rs, rb, _) ->
-    let addr, len =
-      match r.mem_write with
-      | Some al -> al
-      | None -> assert false (* stores always write memory *)
-    in
-    let dsts = Loc.mem_range addr len in
+  | Instr.Store (w, rs, rb, _) ->
+    let dsts = Loc.mem_range r.mem_addr (Instr.bytes_of_width w) in
     [
       Copy { srcs = [ Loc.Reg rs ]; dsts };
       Addr_dep { addr_srcs = [ Loc.Reg rb ]; dsts };
     ]
   | Instr.Syscall _ -> sys_events r.sys_effects
   | instr ->
-    let taken =
-      match (instr, r.taken) with
-      | Instr.Branch _, Some b -> b
-      | Instr.Branch _, None -> assert false (* branches record the outcome *)
-      | _ -> false
-    in
     let pc = r.pc in
     if pc >= 0 && pc < Array.length t.code && Instr.equal instr t.code.(pc) then
-      if taken then t.taken.(pc) else t.not_taken.(pc)
-    else register_events t.postdom ~pc ~taken instr
+      if r.taken then t.taken.(pc) else t.not_taken.(pc)
+    else register_events t.postdom ~pc ~taken:r.taken instr
+
+let program_writes (r : Machine.exec_record) =
+  match r.instr with
+  | Instr.Store (w, _, _, _) -> Loc.mem_range r.mem_addr (Instr.bytes_of_width w)
+  | instr -> (
+    match Instr.write_reg instr with -1 -> [] | reg -> [ Loc.Reg reg ])
 
 let written_locs (r : Machine.exec_record) =
-  let regs =
-    match r.reg_write with Some (reg, _) -> [ Loc.Reg reg ] | None -> []
-  in
-  let mems =
-    match r.mem_write with
-    | Some (addr, len) -> Loc.mem_range addr len
-    | None -> []
-  in
   let sys =
     List.concat_map
       (function
@@ -131,7 +114,7 @@ let written_locs (r : Machine.exec_record) =
           [])
       r.sys_effects
   in
-  regs @ mems @ sys
+  program_writes r @ sys
 
 let pp_locs ppf locs =
   Format.pp_print_list

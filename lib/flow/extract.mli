@@ -40,6 +40,10 @@ val events_of_record : t -> Mitos_isa.Machine.exec_record -> event list
 (** Events are ordered: direct flows first, then indirect, then
     syscall effects — the order the engine must apply them in. *)
 
+val program_writes : Mitos_isa.Machine.exec_record -> Loc.t list
+(** The register or memory bytes the instruction itself wrote, without
+    its syscall effects, which carry their own taint semantics. *)
+
 val written_locs : Mitos_isa.Machine.exec_record -> Loc.t list
 (** All locations the record wrote (register and memory), used to
     apply control-dependency taint to writes inside an open scope. *)

@@ -11,11 +11,12 @@ type exec_record = {
   step : int;
   pc : int;
   instr : Instr.t;
-  reg_reads : (int * int) list;
-  reg_write : (int * int) option;
-  mem_read : (int * int) option;
-  mem_write : (int * int) option;
-  taken : bool option;
+  read0 : int;
+  read1 : int;
+  read2 : int;
+  written : int;
+  mem_addr : int;
+  taken : bool;
   next_pc : int;
   sys_effects : sys_effect list;
 }
@@ -133,69 +134,67 @@ let step t =
       | Instr.Li (rd, imm) ->
         set_reg t rd imm;
         {
-          step = step_no; pc; instr; reg_reads = []; reg_write = Some (rd, t.regs.(rd));
-          mem_read = None; mem_write = None; taken = None; next_pc = fall_through;
-          sys_effects = [];
+          step = step_no; pc; instr; read0 = 0; read1 = 0; read2 = 0;
+          written = t.regs.(rd); mem_addr = 0; taken = false;
+          next_pc = fall_through; sys_effects = [];
         }
       | Instr.Mov (rd, rs) ->
         let v = t.regs.(rs) in
         set_reg t rd v;
         {
-          step = step_no; pc; instr; reg_reads = [ (rs, v) ];
-          reg_write = Some (rd, t.regs.(rd)); mem_read = None; mem_write = None;
-          taken = None; next_pc = fall_through; sys_effects = [];
+          step = step_no; pc; instr; read0 = v; read1 = 0; read2 = 0;
+          written = t.regs.(rd); mem_addr = 0; taken = false;
+          next_pc = fall_through; sys_effects = [];
         }
       | Instr.Bin (op, rd, rs1, rs2) ->
         let a = t.regs.(rs1) and b = t.regs.(rs2) in
         set_reg t rd (eval_binop op a b);
         {
-          step = step_no; pc; instr; reg_reads = [ (rs1, a); (rs2, b) ];
-          reg_write = Some (rd, t.regs.(rd)); mem_read = None; mem_write = None;
-          taken = None; next_pc = fall_through; sys_effects = [];
+          step = step_no; pc; instr; read0 = a; read1 = b; read2 = 0;
+          written = t.regs.(rd); mem_addr = 0; taken = false;
+          next_pc = fall_through; sys_effects = [];
         }
       | Instr.Bini (op, rd, rs, imm) ->
         let a = t.regs.(rs) in
         set_reg t rd (eval_binop op a imm);
         {
-          step = step_no; pc; instr; reg_reads = [ (rs, a) ];
-          reg_write = Some (rd, t.regs.(rd)); mem_read = None; mem_write = None;
-          taken = None; next_pc = fall_through; sys_effects = [];
+          step = step_no; pc; instr; read0 = a; read1 = 0; read2 = 0;
+          written = t.regs.(rd); mem_addr = 0; taken = false;
+          next_pc = fall_through; sys_effects = [];
         }
       | Instr.Load (w, rd, rb, off) ->
         let base = t.regs.(rb) in
         let addr = base + off in
-        let len = Instr.bytes_of_width w in
         let v = match w with Instr.W8 -> read_byte t addr | Instr.W32 -> read_word t addr in
         set_reg t rd v;
         {
-          step = step_no; pc; instr; reg_reads = [ (rb, base) ];
-          reg_write = Some (rd, t.regs.(rd)); mem_read = Some (addr, len);
-          mem_write = None; taken = None; next_pc = fall_through; sys_effects = [];
+          step = step_no; pc; instr; read0 = base; read1 = 0; read2 = 0;
+          written = t.regs.(rd); mem_addr = addr; taken = false;
+          next_pc = fall_through; sys_effects = [];
         }
       | Instr.Store (w, rs, rb, off) ->
         let v = t.regs.(rs) and base = t.regs.(rb) in
         let addr = base + off in
-        let len = Instr.bytes_of_width w in
         (match w with
         | Instr.W8 -> write_byte t addr v
         | Instr.W32 -> write_word t addr v);
         {
-          step = step_no; pc; instr; reg_reads = [ (rs, v); (rb, base) ];
-          reg_write = None; mem_read = None; mem_write = Some (addr, len);
-          taken = None; next_pc = fall_through; sys_effects = [];
+          step = step_no; pc; instr; read0 = v; read1 = base; read2 = 0;
+          written = 0; mem_addr = addr; taken = false; next_pc = fall_through;
+          sys_effects = [];
         }
       | Instr.Branch (c, rs1, rs2, target) ->
         let a = t.regs.(rs1) and b = t.regs.(rs2) in
         let taken = eval_cond c a b in
         {
-          step = step_no; pc; instr; reg_reads = [ (rs1, a); (rs2, b) ];
-          reg_write = None; mem_read = None; mem_write = None; taken = Some taken;
+          step = step_no; pc; instr; read0 = a; read1 = b; read2 = 0;
+          written = 0; mem_addr = 0; taken;
           next_pc = (if taken then target else fall_through); sys_effects = [];
         }
       | Instr.Jmp target ->
         {
-          step = step_no; pc; instr; reg_reads = []; reg_write = None;
-          mem_read = None; mem_write = None; taken = None; next_pc = target;
+          step = step_no; pc; instr; read0 = 0; read1 = 0; read2 = 0;
+          written = 0; mem_addr = 0; taken = false; next_pc = target;
           sys_effects = [];
         }
       | Instr.Jr rs ->
@@ -203,31 +202,32 @@ let step t =
         if target < 0 || target >= Program.length t.prog then
           raise (Fault (Printf.sprintf "indirect jump to %d" target));
         {
-          step = step_no; pc; instr; reg_reads = [ (rs, target) ];
-          reg_write = None; mem_read = None; mem_write = None; taken = None;
-          next_pc = target; sys_effects = [];
+          step = step_no; pc; instr; read0 = target; read1 = 0; read2 = 0;
+          written = 0; mem_addr = 0; taken = false; next_pc = target;
+          sys_effects = [];
         }
       | Instr.Syscall sysno ->
-        let args = List.map (fun r -> (r, t.regs.(r))) [ 1; 2; 3 ] in
+        (* the argument registers, read before the handler runs *)
+        let a1 = t.regs.(1) and a2 = t.regs.(2) and a3 = t.regs.(3) in
         let effects = t.syscall t ~sysno in
         if List.exists (function Sys_halt -> true | _ -> false) effects then
           t.halted <- true;
         {
-          step = step_no; pc; instr; reg_reads = args;
-          reg_write = None; mem_read = None; mem_write = None; taken = None;
-          next_pc = fall_through; sys_effects = effects;
+          step = step_no; pc; instr; read0 = a1; read1 = a2; read2 = a3;
+          written = 0; mem_addr = 0; taken = false; next_pc = fall_through;
+          sys_effects = effects;
         }
       | Instr.Nop ->
         {
-          step = step_no; pc; instr; reg_reads = []; reg_write = None;
-          mem_read = None; mem_write = None; taken = None; next_pc = fall_through;
+          step = step_no; pc; instr; read0 = 0; read1 = 0; read2 = 0;
+          written = 0; mem_addr = 0; taken = false; next_pc = fall_through;
           sys_effects = [];
         }
       | Instr.Halt ->
         t.halted <- true;
         {
-          step = step_no; pc; instr; reg_reads = []; reg_write = None;
-          mem_read = None; mem_write = None; taken = None; next_pc = pc;
+          step = step_no; pc; instr; read0 = 0; read1 = 0; read2 = 0;
+          written = 0; mem_addr = 0; taken = false; next_pc = pc;
           sys_effects = [];
         }
     in
@@ -250,6 +250,28 @@ let run ?(max_steps = 10_000_000) t f =
 
 let pp_record ppf r =
   Format.fprintf ppf "#%d @%d %a" r.step r.pc Instr.pp r.instr
+
+(* The value of the [i]th register [Instr.reads r.instr] names. *)
+let read_value r i = match i with 0 -> r.read0 | 1 -> r.read1 | _ -> r.read2
+
+let reg_reads r =
+  List.mapi (fun i reg -> (reg, read_value r i)) (Instr.reads r.instr)
+
+let reg_write r =
+  match Instr.write_reg r.instr with -1 -> None | rd -> Some (rd, r.written)
+
+(* Bytes a load reads, and bytes a store writes: 0 for any other
+   instruction. *)
+let read_len = function Instr.Load (w, _, _, _) -> Instr.bytes_of_width w | _ -> 0
+let write_len = function Instr.Store (w, _, _, _) -> Instr.bytes_of_width w | _ -> 0
+
+let mem_read r =
+  match read_len r.instr with 0 -> None | len -> Some (r.mem_addr, len)
+
+let mem_write r =
+  match write_len r.instr with 0 -> None | len -> Some (r.mem_addr, len)
+
+let taken r = if Instr.is_branch r.instr then Some r.taken else None
 
 (* Trace codec *)
 
@@ -284,38 +306,68 @@ let decode_effect dec =
     Sys_snapshot_mem { addr; len; key = D.int dec }
   | n -> raise (Mitos_util.Codec.Malformed (Printf.sprintf "sys_effect %d" n))
 
+(* A memory access the instruction makes iff [len > 0]. *)
+let encode_access enc ~len addr =
+  let module E = Mitos_util.Codec.Enc in
+  E.bool enc (len > 0);
+  if len > 0 then begin
+    E.uint enc addr;
+    E.uint enc len
+  end
+
+(* MITRACE1 spells out the register numbers, presence flags and widths
+   a record's instruction implies; [decode_record] checks them. *)
 let encode_record enc r =
   let module E = Mitos_util.Codec.Enc in
+  let instr = r.instr in
   E.uint enc r.step;
   E.uint enc r.pc;
-  Instr.encode enc r.instr;
-  E.list enc
-    (fun (reg, v) ->
-      E.uint enc reg;
-      E.uint enc v)
-    r.reg_reads;
-  E.option enc
-    (fun (reg, v) ->
-      E.uint enc reg;
-      E.uint enc v)
-    r.reg_write;
-  E.option enc
-    (fun (a, l) ->
-      E.uint enc a;
-      E.uint enc l)
-    r.mem_read;
-  E.option enc
-    (fun (a, l) ->
-      E.uint enc a;
-      E.uint enc l)
-    r.mem_write;
-  E.option enc (E.bool enc) r.taken;
+  Instr.encode enc instr;
+  let reads = Instr.read_count instr in
+  E.uint enc reads;
+  for i = 0 to reads - 1 do
+    E.uint enc (Instr.read_reg instr i);
+    E.uint enc (read_value r i)
+  done;
+  let rd = Instr.write_reg instr in
+  E.bool enc (rd >= 0);
+  if rd >= 0 then begin
+    E.uint enc rd;
+    E.uint enc r.written
+  end;
+  encode_access enc ~len:(read_len instr) r.mem_addr;
+  encode_access enc ~len:(write_len instr) r.mem_addr;
+  let branch = Instr.is_branch instr in
+  E.bool enc branch;
+  if branch then E.bool enc r.taken;
   E.uint enc r.next_pc;
   E.list enc (encode_effect enc) r.sys_effects
 
-(* every decoded branch record shares one of these *)
-let some_true = Some true
-let some_false = Some false
+let disagree pc what =
+  raise
+    (Mitos_util.Codec.Malformed
+       (Printf.sprintf "record at pc %d: %s disagrees with its instruction" pc
+          what))
+
+(* The value of register [Instr.read_reg instr i], after checking the
+   input names that register. *)
+let decode_read dec instr pc i =
+  let module D = Mitos_util.Codec.Dec in
+  if D.uint dec <> Instr.read_reg instr i then disagree pc "a read register";
+  D.uint dec
+
+(* The address of a memory access the instruction makes iff [len > 0],
+   after checking the presence flag and the width; 0 when absent. *)
+let decode_access dec ~len pc what =
+  let module D = Mitos_util.Codec.Dec in
+  let present = D.bool dec in
+  if present <> (len > 0) then disagree pc what;
+  if present then begin
+    let addr = D.uint dec in
+    if D.uint dec <> len then disagree pc what;
+    addr
+  end
+  else 0
 
 let decode_record prog dec =
   let module D = Mitos_util.Codec.Dec in
@@ -328,21 +380,31 @@ let decode_record prog dec =
       if Instr.equal decoded own then own else decoded
     else decoded
   in
-  let pair dec =
-    let a = D.uint dec in
-    let b = D.uint dec in
-    (a, b)
+  let reads = Instr.read_count instr in
+  if D.uint dec <> reads then disagree pc "the number of read registers";
+  let read0 = if reads > 0 then decode_read dec instr pc 0 else 0 in
+  let read1 = if reads > 1 then decode_read dec instr pc 1 else 0 in
+  let read2 = if reads > 2 then decode_read dec instr pc 2 else 0 in
+  let rd = Instr.write_reg instr in
+  if D.bool dec <> (rd >= 0) then disagree pc "the register write";
+  let written =
+    if rd >= 0 then begin
+      if D.uint dec <> rd then disagree pc "the written register";
+      D.uint dec
+    end
+    else 0
   in
-  let reg_reads = D.list dec pair in
-  let reg_write = D.option dec pair in
-  let mem_read = D.option dec pair in
-  let mem_write = D.option dec pair in
-  let taken =
-    if D.bool dec then if D.bool dec then some_true else some_false else None
+  let load_addr = decode_access dec ~len:(read_len instr) pc "the memory read" in
+  let store_addr =
+    decode_access dec ~len:(write_len instr) pc "the memory write"
   in
+  let branch = Instr.is_branch instr in
+  if D.bool dec <> branch then disagree pc "the branch outcome";
+  let taken = branch && D.bool dec in
   let next_pc = D.uint dec in
   let sys_effects = D.list dec decode_effect in
   {
-    step; pc; instr; reg_reads; reg_write; mem_read; mem_write; taken;
-    next_pc; sys_effects;
+    step; pc; instr; read0; read1; read2; written;
+    mem_addr = (match instr with Instr.Load _ -> load_addr | _ -> store_addr);
+    taken; next_pc; sys_effects;
   }

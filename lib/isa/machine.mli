@@ -26,19 +26,46 @@ type sys_effect =
   | Sys_set_reg of { reg : int }
   | Sys_halt
 
-(** Everything observable about one executed instruction. *)
+(** Everything observable about one executed instruction.
+
+    Besides [instr] and [sys_effects], every field is an immediate int
+    or bool: a record is one block, whatever the instruction. What the
+    instruction determines is not stored — register numbers, whether a
+    register or memory is written, access widths — so a field the
+    instruction gives no meaning holds 0 (or [false]). The accessors
+    below rebuild the paired views. *)
 type exec_record = {
   step : int;  (** 0-based execution step *)
   pc : int;  (** index of the executed instruction *)
   instr : Instr.t;
-  reg_reads : (int * int) list;  (** (register, value) pairs read *)
-  reg_write : (int * int) option;  (** (register, new value) *)
-  mem_read : (int * int) option;  (** (address, length) *)
-  mem_write : (int * int) option;  (** (address, length) *)
-  taken : bool option;  (** for conditional branches *)
+  read0 : int;  (** value of the 1st register [Instr.reads instr] names *)
+  read1 : int;  (** value of the 2nd *)
+  read2 : int;  (** value of the 3rd (a [Syscall]'s r3) *)
+  written : int;
+      (** new value of the register [Instr.writes instr] names *)
+  mem_addr : int;  (** address a [Load] reads or a [Store] writes *)
+  taken : bool;  (** a conditional branch's outcome *)
   next_pc : int;
   sys_effects : sys_effect list;  (** non-empty only for [Syscall] *)
 }
+
+(** The paired views of a record, allocated on each call: for code off
+    the per-record path. *)
+
+val reg_reads : exec_record -> (int * int) list
+(** (register, value) pairs read, in [Instr.reads] order. *)
+
+val reg_write : exec_record -> (int * int) option
+(** (register, new value) *)
+
+val mem_read : exec_record -> (int * int) option
+(** (address, length) of a [Load] *)
+
+val mem_write : exec_record -> (int * int) option
+(** (address, length) of a [Store] *)
+
+val taken : exec_record -> bool option
+(** The outcome of a conditional branch. *)
 
 type t
 
@@ -78,8 +105,16 @@ val run : ?max_steps:int -> t -> (exec_record -> unit) -> int
 val pp_record : Format.formatter -> exec_record -> unit
 
 val encode_record : Mitos_util.Codec.Enc.t -> exec_record -> unit
+(** Writes the MITRACE1 layout, which spells out every register
+    number, presence flag and access width the instruction implies. *)
+
 val decode_record : Program.t -> Mitos_util.Codec.Dec.t -> exec_record
 (** [decode_record prog dec] reads one record of a trace of [prog]. An
     instruction equal to [prog]'s own at the record's [pc] is returned
     as that very value, so a decoded trace shares its program's
-    instructions instead of holding a copy per record. *)
+    instructions instead of holding a copy per record.
+
+    Raises [Mitos_util.Codec.Malformed] on a record whose register
+    numbers, presence flags or access widths disagree with its own
+    instruction (a load with no memory read, a branch with no
+    outcome, ...): no consumer has to handle such a record. *)

@@ -59,4 +59,6 @@ let decode dec =
         let addr = D.uint dec in
         (name, addr))
   in
-  make ~labels code
+  (* a target out of range is corrupt input, like any other bad byte *)
+  try make ~labels code
+  with Invalid_argument msg -> raise (Mitos_util.Codec.Malformed msg)

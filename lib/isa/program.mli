@@ -19,3 +19,5 @@ val pp : Format.formatter -> t -> unit
 
 val encode : Mitos_util.Codec.Enc.t -> t -> unit
 val decode : Mitos_util.Codec.Dec.t -> t
+(** Raises [Mitos_util.Codec.Malformed] on corrupt input, a target out
+    of range included. *)

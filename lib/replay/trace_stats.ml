@@ -32,8 +32,10 @@ let analyze trace =
   Trace.iter trace (fun (r : Machine.exec_record) ->
       Hashtbl.replace pc_counts r.pc
         (1 + Option.value ~default:0 (Hashtbl.find_opt pc_counts r.pc));
-      (match r.mem_read with Some (_, len) -> bytes_read := !bytes_read + len | None -> ());
-      (match r.mem_write with
+      (match Machine.mem_read r with
+      | Some (_, len) -> bytes_read := !bytes_read + len
+      | None -> ());
+      (match Machine.mem_write r with
       | Some (_, len) -> bytes_written := !bytes_written + len
       | None -> ());
       List.iter
@@ -49,7 +51,7 @@ let analyze trace =
       | Instr.Store _ -> incr stores
       | Instr.Branch _ ->
         incr branches;
-        if r.taken = Some true then incr branches_taken
+        if Machine.taken r = Some true then incr branches_taken
       | Instr.Jr _ -> incr ijumps
       | Instr.Syscall _ -> incr syscalls
       | Instr.Bin _ | Instr.Bini _ -> incr alu

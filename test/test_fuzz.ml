@@ -259,14 +259,14 @@ module Reference = struct
       t.regs.(rd) <- TSet.union t.regs.(rs1) t.regs.(rs2)
     | Instr.Bini (_, rd, rs, _) -> t.regs.(rd) <- t.regs.(rs)
     | Instr.Load (_, rd, _, _) ->
-      let addr, len = Option.get r.mem_read in
+      let addr, len = Option.get (Machine.mem_read r) in
       let acc = ref TSet.empty in
       for a = addr to addr + len - 1 do
         acc := TSet.union !acc (mem_get t a)
       done;
       t.regs.(rd) <- !acc
     | Instr.Store (_, rs, _, _) ->
-      let addr, len = Option.get r.mem_write in
+      let addr, len = Option.get (Machine.mem_write r) in
       for a = addr to addr + len - 1 do
         mem_set t a t.regs.(rs)
       done
@@ -330,6 +330,28 @@ let test_differential_reference_vs_engine () =
       (engine_map = reference_map)
   done
 
+(* Decoding is total: a trace with a few bytes flipped either decodes
+   or is refused with [Malformed]. The mutants are never replayed: a
+   flipped syscall effect can claim a range of gigabytes. *)
+let qcheck_decode_total =
+  let trace =
+    Mitos_replay.Trace.to_string
+      (Mitos_workload.Workload.record (Mitos_workload.Lookup_table.build ~seed:3 ()))
+  in
+  QCheck.Test.make ~name:"flipped trace bytes decode or raise Malformed"
+    ~count:1000
+    QCheck.(list_of_size (Gen.int_range 1 4) (pair small_nat (int_range 1 255)))
+    (fun flips ->
+      let b = Bytes.of_string trace in
+      List.iter
+        (fun (pos, x) ->
+          let pos = pos mod Bytes.length b in
+          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor x)))
+        flips;
+      match Mitos_replay.Trace.of_string (Bytes.to_string b) with
+      | _ -> true
+      | exception Mitos_util.Codec.Malformed _ -> true)
+
 let () =
   Alcotest.run "mitos_fuzz"
     [
@@ -343,5 +365,6 @@ let () =
             test_fuzz_backends_and_checkpoints;
           Alcotest.test_case "differential vs reference interpreter" `Slow
             test_differential_reference_vs_engine;
+          QCheck_alcotest.to_alcotest qcheck_decode_total;
         ] );
     ]

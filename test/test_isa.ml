@@ -264,12 +264,12 @@ let test_machine_step_records () =
   let r1 = Option.get (Machine.step m) in
   Alcotest.(check int) "step number" 0 r1.Machine.step;
   Alcotest.(check (option (pair int int))) "reg write" (Some (1, 7))
-    r1.Machine.reg_write;
+    (Machine.reg_write r1);
   let r2 = Option.get (Machine.step m) in
   Alcotest.(check (option (pair int int))) "mem write" (Some (5, 1))
-    r2.Machine.mem_write;
+    (Machine.mem_write r2);
   Alcotest.(check (list (pair int int))) "reg reads" [ (1, 7); (2, 0) ]
-    r2.Machine.reg_reads;
+    (Machine.reg_reads r2);
   let r3 = Option.get (Machine.step m) in
   Alcotest.(check bool) "halt record" true (r3.Machine.instr = Instr.Halt);
   Alcotest.(check bool) "after halt" true (Machine.step m = None);
@@ -377,16 +377,16 @@ let test_record_decode_disagreeing_instr () =
      encoded, never to the program's instruction *)
   let r =
     {
-      Machine.step = 0; pc = 0; instr = Instr.Li (1, 4); reg_reads = [];
-      reg_write = Some (1, 4); mem_read = None; mem_write = None; taken = None;
-      next_pc = 1; sys_effects = [];
+      Machine.step = 0; pc = 0; instr = Instr.Li (1, 4); read0 = 0; read1 = 0;
+      read2 = 0; written = 4; mem_addr = 0; taken = false; next_pc = 1;
+      sys_effects = [];
     }
   in
   let r' = record_roundtrip codec_prog r in
   Alcotest.(check bool) "decodes as encoded" true (r' = r);
   Alcotest.(check bool) "not the program's" false
     (Instr.equal r'.Machine.instr (Program.instr codec_prog 0));
-  let far = { r with Machine.pc = 99; instr = Instr.Nop } in
+  let far = { r with Machine.pc = 99; instr = Instr.Nop; written = 0 } in
   Alcotest.(check bool) "pc outside the program" true
     (record_roundtrip codec_prog far = far)
 
