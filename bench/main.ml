@@ -177,7 +177,7 @@ let bench_engine =
            Array.iter (Mitos_dift.Engine.process_record engine) slice))
   in
   (* audit flight-recorder cost on the decision-heavy mitos replay:
-     the disabled row pays only the probe check, the enabled row
+     the disabled row pays only the decision-context check, the enabled row
      records every Alg. 1/2 call plus evictions into the ring *)
   let bench_audit name enabled =
     Test.make ~name:(Printf.sprintf "engine replay 1k records (%s)" name)
@@ -190,13 +190,11 @@ let bench_engine =
            in
            if enabled then begin
              let audit = Mitos_obs.Audit.create ~capacity:(1 lsl 18) () in
-             Mitos.Decision.set_audit (Some audit);
              Mitos_dift.Engine.instrument ~audit engine Mitos_obs.Obs.disabled
            end;
            Mitos_dift.Engine.attach_shadow engine
              ~mem_size:(Mitos_replay.Trace.mem_size trace);
-           Array.iter (Mitos_dift.Engine.process_record engine) slice;
-           if enabled then Mitos.Decision.set_audit None))
+           Array.iter (Mitos_dift.Engine.process_record engine) slice))
   in
   [
     bench_policy "faros" Mitos_dift.Policies.faros;

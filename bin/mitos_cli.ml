@@ -176,9 +176,7 @@ type obs_opts = {
   obs : Obs.t option;
 }
 
-(* An Obs context is created only when an export was asked for; it is
-   also routed into the core decision/solver probes for the duration
-   of the command. *)
+(* An Obs context is created only when an export was asked for. *)
 let setup_obs trace_out metrics_out sample_every clock_name =
   if sample_every < 1 then
     or_die (Error "--sample-every must be at least 1");
@@ -195,10 +193,7 @@ let setup_obs trace_out metrics_out sample_every clock_name =
                (Printf.sprintf "unknown --obs-clock %S (logical or real)"
                   other))
       in
-      let obs = Obs.create ~clock () in
-      Mitos.Decision.set_obs (Some obs);
-      Mitos.Solver.set_obs (Some obs);
-      Some obs
+      Some (Obs.create ~clock ())
     end
   in
   { trace_out; metrics_out; sample_every; obs }
@@ -220,8 +215,6 @@ let finish_obs opts =
   match opts.obs with
   | None -> ()
   | Some obs ->
-    Mitos.Decision.set_obs None;
-    Mitos.Solver.set_obs None;
     let write what path contents =
       try
         Obs.write_file path contents;
@@ -548,8 +541,6 @@ let replay_cmd =
       | None, _ | _, Some _ -> obs_opts
       | Some _, None ->
         let obs = Obs.create ~clock:(Mitos_obs.Obs_clock.logical ()) () in
-        Mitos.Decision.set_obs (Some obs);
-        Mitos.Solver.set_obs (Some obs);
         { obs_opts with obs = Some obs }
     in
     let slo, observe, audit =
@@ -558,7 +549,6 @@ let replay_cmd =
         let slo = Alerts.create ~rules:(parse_rules slo) () in
         Alerts.link_tracer slo (Obs.tracer obs);
         let audit = Mitos_obs.Audit.create () in
-        Mitos.Decision.set_audit (Some audit);
         let engine_cell = ref None in
         let observe (s : Metrics.sample) =
           Option.iter
@@ -594,7 +584,6 @@ let replay_cmd =
     ignore
       (Mitos_replay.Driver.run ?obs:obs_opts.obs trace
          ~f:(Engine.process_record engine));
-    Mitos.Decision.set_audit None;
     print_summary
       (Metrics.of_engine ~wall_seconds:(Unix.gettimeofday () -. t0) engine);
     finish_obs obs_opts;
@@ -1046,21 +1035,17 @@ let write_audit_out audit = function
      with Sys_error msg -> or_die (Error msg))
 
 (* Run a workload live with the flight recorder threaded through the
-   decision probe and the engine; obs (when requested) cross-links the
-   records into the Chrome trace as instant events. *)
+   engine and its decision context; obs (when requested) cross-links
+   the records into the Chrome trace as instant events. *)
 let audited_run ~capacity ~obs_opts name policy_name seed params =
   let policy, route_direct = or_die (resolve_policy policy_name params) in
   let built = or_die (build_workload name ~seed) in
   let audit = Audit.create ~capacity () in
-  Mitos.Decision.set_audit (Some audit);
   let engine =
-    Fun.protect
-      ~finally:(fun () -> Mitos.Decision.set_audit None)
-      (fun () ->
-        W.Workload.run_live
-          ~config:(engine_config ~route_direct)
-          ?obs:obs_opts.obs ~sample_every:obs_opts.sample_every ~audit ~policy
-          built)
+    W.Workload.run_live
+      ~config:(engine_config ~route_direct)
+      ?obs:obs_opts.obs ~sample_every:obs_opts.sample_every ~audit ~policy
+      built
   in
   (audit, engine)
 

@@ -26,14 +26,12 @@ let () =
      taint gauges, Alg. 1/Alg. 2 timing inside the policy, and the
      replay driver's spans and throughput gauges. *)
   let obs = Obs.create () in
-  Mitos.Decision.set_obs (Some obs);
   let engine =
     W.Workload.replay ~obs ~sample_every:256
       ~policy:(Mitos_dift.Policies.mitos params)
       (W.Netbench.build ~seed:1 ~chunks:2 ())
       trace
   in
-  Mitos.Decision.set_obs None;
 
   let counters = Mitos_dift.Engine.counters engine in
   Printf.printf "replayed %d records (%d IFP propagated, %d blocked)\n\n"

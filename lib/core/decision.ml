@@ -6,10 +6,9 @@ let verdict_to_string = function Propagate -> "propagate" | Block -> "block"
 
 type env = { count : Tag.t -> int; pollution : float }
 
-(* -- observability probe -------------------------------------------- *)
+(* -- decision context ------------------------------------------------ *)
 
-(* Resolved once in [set_obs]; the disabled path is one ref read and a
-   pointer compare per decision. *)
+(* Histogram handles, resolved once when the context is built. *)
 type probe = {
   obs : Mitos_obs.Obs.t;
   alg1_latency : Mitos_obs.Histogram.t;
@@ -17,59 +16,40 @@ type probe = {
   alg2_candidates : Mitos_obs.Histogram.t;
 }
 
-(* An [Atomic] rather than a plain ref: engines running inside a
-   domain pool all read this on every decision, and a plain ref has
-   no publication guarantee for the probe record installed by
-   [set_obs] from another domain. Reads stay one atomic load on the
-   disabled path. *)
-let probe : probe option Atomic.t = Atomic.make None
+type ctx = { probe : probe option; audit : Mitos_obs.Audit.t option }
 
-let set_obs = function
-  | None -> Atomic.set probe None
-  | Some obs ->
-    if not (Mitos_obs.Obs.enabled obs) then Atomic.set probe None
-    else begin
+let no_ctx = { probe = None; audit = None }
+
+let make_ctx ?obs ?audit () =
+  let probe =
+    match obs with
+    | Some obs when Mitos_obs.Obs.enabled obs ->
       let module R = Mitos_obs.Registry in
       let registry = Mitos_obs.Obs.registry obs in
-      Atomic.set probe
-        (Some
-          {
-            obs;
-            alg1_latency =
-              R.histogram registry
-                ~help:"Alg. 1 single-tag decision latency in clock ticks"
-                "mitos_alg1_latency_ticks";
-            alg2_latency =
-              R.histogram registry
-                ~help:"Alg. 2 batch decision latency in clock ticks"
-                "mitos_alg2_latency_ticks";
-            alg2_candidates =
-              R.histogram registry
-                ~help:"candidate tags per Alg. 2 invocation"
-                "mitos_alg2_candidates";
-          })
-    end
-
-let timed pick_hist f =
-  match Atomic.get probe with
-  | None -> f ()
-  | Some p -> Mitos_obs.Obs.time p.obs (pick_hist p) f
-
-(* -- audit probe ----------------------------------------------------- *)
-
-(* Same shape as [probe]: a module-global [Atomic] holding the
-   installed decision flight recorder. The disabled path is one
-   atomic load per decision; record construction (tag rendering,
-   submarginal split) happens only when a recorder is installed. *)
-let audit_probe : Mitos_obs.Audit.t option Atomic.t = Atomic.make None
-
-let set_audit = function
-  | None -> Atomic.set audit_probe None
-  | Some recorder ->
-    Atomic.set audit_probe
-      (if Mitos_obs.Audit.enabled recorder then Some recorder else None)
-
-let audit () = Atomic.get audit_probe
+      Some
+        {
+          obs;
+          alg1_latency =
+            R.histogram registry
+              ~help:"Alg. 1 single-tag decision latency in clock ticks"
+              "mitos_alg1_latency_ticks";
+          alg2_latency =
+            R.histogram registry
+              ~help:"Alg. 2 batch decision latency in clock ticks"
+              "mitos_alg2_latency_ticks";
+          alg2_candidates =
+            R.histogram registry
+              ~help:"candidate tags per Alg. 2 invocation"
+              "mitos_alg2_candidates";
+        }
+    | Some _ | None -> None
+  in
+  let audit =
+    match audit with
+    | Some recorder when Mitos_obs.Audit.enabled recorder -> audit
+    | Some _ | None -> None
+  in
+  { probe; audit }
 
 let of_stats p stats =
   { count = Tag_stats.count stats; pollution = Cost.weighted_pollution p stats }
@@ -104,29 +84,24 @@ let audit_tag p env tag m v =
       | Block -> Mitos_obs.Audit.Block);
   }
 
-let alg1 p env tag =
-  timed
-    (fun pr -> pr.alg1_latency)
-    (fun () ->
-      let m = marginal p env tag in
-      let v = if m <= 0.0 then Propagate else Block in
-      (match Atomic.get audit_probe with
-      | None -> ()
-      | Some recorder ->
-        Mitos_obs.Audit.record_decision recorder ~algorithm:"alg1" ~space:1
-          ~pollution:env.pollution
-          [ audit_tag p env tag m v ]);
-      v)
-
-type ranked = { tag : Tag.t; marginal : float; verdict : verdict }
-
-let audit_ranked p env ~algorithm ~space ranked =
-  match Atomic.get audit_probe with
+let decide1 ctx p env tag =
+  let m = marginal p env tag in
+  let v = if m <= 0.0 then Propagate else Block in
+  (match ctx.audit with
   | None -> ()
   | Some recorder ->
-    Mitos_obs.Audit.record_decision recorder ~algorithm ~space
+    Mitos_obs.Audit.record_decision recorder ~algorithm:"alg1" ~space:1
       ~pollution:env.pollution
-      (List.map (fun r -> audit_tag p env r.tag r.marginal r.verdict) ranked)
+      [ audit_tag p env tag m v ]);
+  v
+
+let alg1 ?(ctx = no_ctx) p env tag =
+  match ctx.probe with
+  | None -> decide1 ctx p env tag
+  | Some pr ->
+    Mitos_obs.Obs.time pr.obs pr.alg1_latency (fun () -> decide1 ctx p env tag)
+
+type ranked = { tag : Tag.t; marginal : float; verdict : verdict }
 
 (* How the greedy pass (lines 3-10) takes a candidate's marginal:
    recomputed at the current pollution (the paper's line 9), kept from
@@ -210,30 +185,36 @@ let greedy pass p env ~space candidates =
     done;
     !ranked
 
-let run_alg2 pass ~algorithm p env ~space candidates =
-  if space < 0 then invalid_arg "Decision.alg2: negative space";
-  timed
-    (fun pr -> pr.alg2_latency)
-    (fun () ->
-      (match Atomic.get probe with
-      | None -> ()
-      | Some pr ->
-        Mitos_obs.Histogram.observe pr.alg2_candidates
-          (float_of_int (List.length candidates)));
-      let ranked = greedy pass p env ~space candidates in
-      audit_ranked p env ~algorithm ~space ranked;
-      ranked)
+let decide2 pass ~algorithm ctx p env ~space candidates =
+  let ranked = greedy pass p env ~space candidates in
+  (match ctx.audit with
+  | None -> ()
+  | Some recorder ->
+    Mitos_obs.Audit.record_decision recorder ~algorithm ~space
+      ~pollution:env.pollution
+      (List.map (fun r -> audit_tag p env r.tag r.marginal r.verdict) ranked));
+  ranked
 
-let alg2 p env ~space candidates =
-  run_alg2 Recompute ~algorithm:"alg2" p env ~space candidates
+let run_alg2 pass ~algorithm ctx p env ~space candidates =
+  if space < 0 then invalid_arg "Decision.alg2: negative space";
+  match ctx.probe with
+  | None -> decide2 pass ~algorithm ctx p env ~space candidates
+  | Some pr ->
+    Mitos_obs.Obs.time pr.obs pr.alg2_latency (fun () ->
+        Mitos_obs.Histogram.observe pr.alg2_candidates
+          (float_of_int (List.length candidates));
+        decide2 pass ~algorithm ctx p env ~space candidates)
+
+let alg2 ?(ctx = no_ctx) p env ~space candidates =
+  run_alg2 Recompute ~algorithm:"alg2" ctx p env ~space candidates
 
 let alg2_accepted p env ~space candidates =
   alg2 p env ~space candidates
   |> List.filter_map (fun r ->
          match r.verdict with Propagate -> Some r.tag | Block -> None)
 
-let alg2_no_recompute p env ~space candidates =
-  run_alg2 Initial ~algorithm:"alg2-no-recompute" p env ~space candidates
+let alg2_no_recompute ?(ctx = no_ctx) p env ~space candidates =
+  run_alg2 Initial ~algorithm:"alg2-no-recompute" ctx p env ~space candidates
 
 (* the paper's while loop exits on the first positive marginal (or when
    space runs out) and never reconsiders *)

@@ -31,7 +31,41 @@ val submarginals : Params.t -> env -> Tag.t -> float * float
 (** (undertainting, overtainting) parts of Eq. (8) — the series
     plotted in the paper's Fig. 7(a). *)
 
-val alg1 : Params.t -> env -> Tag.t -> verdict
+(** {1 Decision context}
+
+    Decision latency is the paper's O(1)-per-decision systems claim
+    (§IV-B), and the audit records carry the Eq. (8) under/over split
+    behind each verdict (Fig. 7(a)). A context routes both to the run
+    that asked for them: an engine builds one in [Engine.instrument]
+    and hands it to its policy in every request, so two instrumented
+    engines on a domain pool each count and record their own
+    decisions. *)
+
+type ctx
+(** Histogram handles, resolved once, and an optional flight
+    recorder. *)
+
+val no_ctx : ctx
+(** Neither timing nor auditing: a decision under it tests two fields
+    and builds no timing closure. The default of every [?ctx]. *)
+
+val make_ctx : ?obs:Mitos_obs.Obs.t -> ?audit:Mitos_obs.Audit.t -> unit -> ctx
+(** With a live [obs], {!alg1} and {!alg2}/{!alg2_no_recompute}
+    latencies (clock ticks) land in its [mitos_alg1_latency_ticks] /
+    [mitos_alg2_latency_ticks] histograms, and Alg. 2 batch sizes in
+    [mitos_alg2_candidates]. With a live [audit], each of those calls
+    appends one [Decision] record: algorithm name, the ambient flow
+    context (see [Mitos_obs.Audit.set_context]), the space and
+    pollution the decision saw, and per candidate the {!submarginals}
+    split, decision-time marginal and verdict. A disabled [obs] or
+    [audit] counts as absent; with neither live the result behaves as
+    {!no_ctx}.
+
+    The histograms are the registry's and take concurrent updates; the
+    recorder is not synchronized, so a context with one belongs to one
+    domain at a time. *)
+
+val alg1 : ?ctx:ctx -> Params.t -> env -> Tag.t -> verdict
 (** Algorithm 1: single tag, sufficient space. *)
 
 (** One per-tag outcome of an Algorithm 2 pass. *)
@@ -41,7 +75,8 @@ type ranked = {
   verdict : verdict;
 }
 
-val alg2 : Params.t -> env -> space:int -> Tag.t list -> ranked list
+val alg2 :
+  ?ctx:ctx -> Params.t -> env -> space:int -> Tag.t list -> ranked list
 (** Algorithm 2: returns one entry per candidate, in the order they
     were considered (increasing initial marginal). At most [space]
     entries carry [Propagate]. The pollution term is re-evaluated
@@ -54,7 +89,7 @@ val alg2_accepted : Params.t -> env -> space:int -> Tag.t list -> Tag.t list
 (** Just the tags to propagate, in acceptance order. *)
 
 val alg2_no_recompute :
-  Params.t -> env -> space:int -> Tag.t list -> ranked list
+  ?ctx:ctx -> Params.t -> env -> space:int -> Tag.t list -> ranked list
 (** Ablation: Algorithm 2 with line 9 disabled — marginals are
     evaluated once against the initial pollution. *)
 
@@ -66,44 +101,3 @@ val alg2_paper : Params.t -> env -> space:int -> Tag.t list -> ranked list
     shifts all remaining candidates equally, preserving the order);
     with heterogeneous [o_t] the early break can block a later
     candidate that {!alg2} would still accept. *)
-
-(** {1 Profiling hooks}
-
-    Decision latency is the paper's O(1)-per-decision systems claim
-    (§IV-B); the probe lets a run validate it continuously. *)
-
-val set_obs : Mitos_obs.Obs.t option -> unit
-(** Route per-decision timing into an observability context: {!alg1}
-    and {!alg2}/{!alg2_no_recompute} latencies (clock ticks) land in
-    the [mitos_alg1_latency_ticks] / [mitos_alg2_latency_ticks]
-    histograms, and Alg. 2 batch sizes in [mitos_alg2_candidates].
-
-    The probe is module-global (decisions are made deep inside
-    policies, far from where the context is created); [None] — the
-    default — restores the zero-cost path. Passing a disabled context
-    is equivalent to [None]. Interleaving two instrumented runs
-    mingles their decision metrics; set and clear around a run.
-
-    The probe cell is an [Atomic]: engines running on a domain pool
-    all observe a [set_obs] from any domain safely. Concurrent
-    instrumented engines share the same histograms, so counts may
-    lose increments under contention — acceptable for sampling
-    metrics; set the probe around sequential runs when exact counts
-    matter. *)
-
-val set_audit : Mitos_obs.Audit.t option -> unit
-(** Route every decision into an audit flight recorder: {!alg1},
-    {!alg2} and {!alg2_no_recompute} each append one [Decision]
-    record — algorithm name, the ambient flow context (see
-    [Mitos_obs.Audit.set_context]), the space and pollution the
-    decision saw, and per candidate the {!submarginals} split,
-    decision-time marginal and verdict.
-
-    Same contract and caveats as {!set_obs}: module-global [Atomic]
-    cell, [None]/disabled recorder restores the one-atomic-load
-    disabled path, and the recorder itself is not synchronized — set
-    it around a sequential run, not across a domain pool. *)
-
-val audit : unit -> Mitos_obs.Audit.t option
-(** The currently installed recorder, if any — policies use this to
-    stamp flow context onto the shared recorder before deciding. *)

@@ -2,25 +2,6 @@ open Mitos_tag
 
 type item = { ty : Tag_type.t; cap : int }
 
-(* -- observability probe -------------------------------------------- *)
-
-(* Atomic for the same reason as [Decision.probe]: solver calls can
-   run on pool domains while the CLI installs the context from the
-   main one. *)
-let probe : Mitos_obs.Obs.t option Atomic.t = Atomic.make None
-
-let set_obs = function
-  | Some obs when Mitos_obs.Obs.enabled obs -> Atomic.set probe (Some obs)
-  | Some _ | None -> Atomic.set probe None
-
-let solver_span name ~items f =
-  match Atomic.get probe with
-  | None -> f ()
-  | Some obs ->
-    Mitos_obs.Obs.with_span obs
-      ~args:[ ("items", string_of_int items) ]
-      name f
-
 let item ?cap p ty =
   { ty; cap = (match cap with Some c -> c | None -> p.Params.mem_capacity) }
 
@@ -91,7 +72,6 @@ let allocation_for_lambda p items lambda =
   Array.map (fun it -> n_of_multipliers p it ~g ~lambda) items
 
 let solve_kkt p items =
-  solver_span "solver.kkt" ~items:(Array.length items) @@ fun () ->
   if Array.length items = 0 then [||]
   else begin
     let n0 = allocation_for_lambda p items 0.0 in
@@ -123,7 +103,6 @@ let project items n =
     n
 
 let solve_gradient ?(iterations = 20_000) ?(step = 0.05) p items =
-  solver_span "solver.gradient" ~items:(Array.length items) @@ fun () ->
   let k = Array.length items in
   let n = Array.make k 1.0 in
   let budget = float_of_int p.Params.total_tag_space in
@@ -145,7 +124,6 @@ let solve_gradient ?(iterations = 20_000) ?(step = 0.05) p items =
   n
 
 let solve_greedy_integer ?max_total p items =
-  solver_span "solver.greedy" ~items:(Array.length items) @@ fun () ->
   let k = Array.length items in
   let n = Array.make k 0 in
   let budget =
@@ -251,8 +229,6 @@ let relaxed_suffix_bound p items ~from ~pollution_offset ~budget =
   snd (relaxed_suffix p items ~from ~pollution_offset ~budget)
 
 let solve_branch_and_bound ?(node_limit = 200_000) p items =
-  solver_span "solver.branch-and-bound" ~items:(Array.length items)
-  @@ fun () ->
   let k = Array.length items in
   let budget_total = float_of_int p.Params.total_tag_space in
   (* incumbent from the greedy heuristic *)
@@ -333,19 +309,6 @@ let solve_branch_and_bound ?(node_limit = 200_000) p items =
     end
   in
   branch 0 ~under_fixed:0.0 ~pollution_fixed:0.0 ~used:0.0;
-  (match Atomic.get probe with
-  | None -> ()
-  | Some obs ->
-    let module R = Mitos_obs.Registry in
-    let registry = Mitos_obs.Obs.registry obs in
-    R.add
-      (R.counter registry ~help:"branch-and-bound nodes explored"
-         "mitos_solver_bb_nodes_total")
-      !explored;
-    R.add
-      (R.counter registry ~help:"branch-and-bound nodes pruned"
-         "mitos_solver_bb_pruned_total")
-      !pruned);
   ( Array.map int_of_float best,
     { nodes_explored = !explored; nodes_pruned = !pruned; optimum = !best_val }
   )

@@ -72,14 +72,3 @@ val solve_branch_and_bound :
     precision). [node_limit] (default 200_000) bounds the search;
     raises [Invalid_argument] if exceeded — the NP-hardness showing
     up. *)
-
-(** {1 Profiling hooks} *)
-
-val set_obs : Mitos_obs.Obs.t option -> unit
-(** Route solver timing into an observability context: each solve
-    becomes a tracer span ([solver.kkt], [solver.gradient],
-    [solver.greedy], [solver.branch-and-bound]) tagged with the item
-    count, and branch-and-bound node totals land in
-    [mitos_solver_bb_nodes_total] / [mitos_solver_bb_pruned_total].
-    Module-global, like {!Decision.set_obs}; [None] (the default)
-    restores the zero-cost path. *)

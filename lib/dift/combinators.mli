@@ -36,8 +36,9 @@ val audited : Mitos_obs.Audit.t -> Policy.t -> Policy.t
     consultation, then passes the selection through unchanged. With a
     disabled recorder ([Mitos_obs.Audit.null]) the wrapper only
     forwards. This records the policy-level outcome; the per-tag
-    marginal split comes from the [Mitos.Decision.set_audit] probe —
-    both land in the same log. *)
+    marginal split comes from the request's [Mitos.Decision.ctx] —
+    both land in the same log when the engine was instrumented with
+    this recorder. *)
 
 val logging :
   (Policy.request -> Tag.t list -> unit) -> Policy.t -> Policy.t

@@ -112,6 +112,7 @@ type t = {
   history : (int, arrival list ref) Hashtbl.t; (* newest first *)
   mutable instruments : instruments option;
   mutable audit : Mitos_obs.Audit.t option;
+  mutable ctx : Mitos.Decision.ctx;
 }
 
 let create ?(config = default_config) ~policy ~source_tag prog =
@@ -137,6 +138,7 @@ let create ?(config = default_config) ~policy ~source_tag prog =
     history = Hashtbl.create 256;
     instruments = None;
     audit = None;
+    ctx = Mitos.Decision.no_ctx;
   }
 
 (* Count every provenance-list eviction — taint removed behind the
@@ -214,6 +216,7 @@ let instrument ?(sample_every = 1024) ?audit t obs =
     if Mitos_obs.Obs.enabled obs then
       Mitos_obs.Audit.link_tracer recorder (Mitos_obs.Obs.tracer obs)
   | Some _ | None -> ());
+  t.ctx <- Mitos.Decision.make_ctx ~obs ?audit:t.audit ();
   if Mitos_obs.Obs.enabled obs then begin
     let module R = Mitos_obs.Registry in
     let registry = Mitos_obs.Obs.registry obs in
@@ -423,6 +426,7 @@ let consult t shadow ~kind ~candidates ~space ~width ~step =
       width;
       stats = Shadow.stats shadow;
       step;
+      ctx = t.ctx;
     }
   in
   Policy.select t.policy request

@@ -135,13 +135,21 @@ val instrument :
 
     [audit] additionally threads a decision flight recorder through
     the engine: every policy consultation stamps its step/pc/flow
-    context onto the recorder (so [Decision] records emitted by the
-    policy's Alg. 1/2 calls — see [Mitos.Decision.set_audit] — carry
-    it), provenance-list evictions in the engine's shadow surface as
-    [Eviction] records, and — when the obs context is live too —
-    records are cross-linked into the Chrome trace as instant events.
-    Auditing is gated on the recorder's own enabled flag, so a
-    disabled obs context with a live recorder audits without tracing.
+    context onto the recorder, provenance-list evictions in the
+    engine's shadow surface as [Eviction] records, and — when the obs
+    context is live too — records are cross-linked into the Chrome
+    trace as instant events. Auditing is gated on the recorder's own
+    enabled flag, so a disabled obs context with a live recorder
+    audits without tracing.
+
+    The policy's decisions join in through one [Mitos.Decision.ctx],
+    built here from the live context and recorder and carried in
+    every {!Policy.request}: its Alg. 1/2 calls time into this
+    context's [mitos_alg1_latency_ticks] / [mitos_alg2_latency_ticks]
+    / [mitos_alg2_candidates] histograms and append their [Decision]
+    records, stamped with the consultation's context, to this
+    recorder. Engines instrumented with different contexts keep their
+    decisions apart, on any domain.
 
     With a disabled context ({!Mitos_obs.Obs.disabled}) and no live
     recorder this installs nothing — the engine keeps its zero-cost

@@ -53,17 +53,11 @@ type observation = {
   propagated : bool;
 }
 
-(* The steps every MITOS policy takes on a flow it decides: stamp the
-   flow context onto the flight recorder (the engine stamps pc too, but
-   a policy may be exercised outside one), run Alg. 2 over the request
-   and keep the propagated tags. *)
+(* The steps every MITOS policy takes on a flow it decides: run Alg. 2
+   over the request, in the request's decision context, and keep the
+   propagated tags. *)
 let decide ?(recompute = true) ?observe params ~pollution
     (request : Policy.request) =
-  (match Mitos.Decision.audit () with
-  | None -> ()
-  | Some recorder ->
-    Mitos_obs.Audit.set_context recorder ~step:request.step
-      ~flow:(Policy.flow_kind_to_string request.kind) ());
   let env =
     { Mitos.Decision.count = Tag_stats.count request.stats; pollution }
   in
@@ -71,7 +65,9 @@ let decide ?(recompute = true) ?observe params ~pollution
     if recompute then Mitos.Decision.alg2
     else Mitos.Decision.alg2_no_recompute
   in
-  let ranked = alg2 params env ~space:request.space request.candidates in
+  let ranked =
+    alg2 ~ctx:request.ctx params env ~space:request.space request.candidates
+  in
   List.filter_map
     (fun (r : Mitos.Decision.ranked) ->
       let propagated = r.verdict = Mitos.Decision.Propagate in

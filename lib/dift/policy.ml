@@ -20,6 +20,7 @@ type request = {
   width : int;
   stats : Tag_stats.t;
   step : int;
+  ctx : Mitos.Decision.ctx;
 }
 
 type t = { name : string; select : request -> Tag.t list }

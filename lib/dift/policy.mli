@@ -26,6 +26,10 @@ type request = {
   width : int;  (** access width in bytes; 0 when not an access *)
   stats : Tag_stats.t;  (** live copy counts (the control vector [n]) *)
   step : int;  (** machine step, for logging *)
+  ctx : Mitos.Decision.ctx;
+      (** where the policy's Alg. 1/2 calls send their timing and
+          audit records; [Mitos.Decision.no_ctx] outside an
+          instrumented engine *)
 }
 
 type t = {

@@ -127,8 +127,8 @@ let summarize audit findings =
 let litmus ?(capacity = 65536) ?sink ?pool params =
   let audit = Audit.create ~capacity ?sink () in
   let n = List.length Litmus.cases in
-  (* the audited run is sequential (the Decision probe is global);
-     per-case segments are delimited by the note records *)
+  (* the audited run is sequential: every case appends to one shared
+     log, whose per-case segments are delimited by the note records *)
   let bounds = Array.make (n + 1) 0 in
   let idx = ref 0 in
   let instrument engine =
@@ -139,12 +139,7 @@ let litmus ?(capacity = 65536) ?sink ?pool params =
       ("case:" ^ (List.nth Litmus.cases i).Litmus.case_name);
     Engine.instrument ~audit engine Mitos_obs.Obs.disabled
   in
-  Mitos.Decision.set_audit (Some audit);
-  let details =
-    Fun.protect
-      ~finally:(fun () -> Mitos.Decision.set_audit None)
-      (fun () -> Litmus.run_detailed ~instrument (Policies.mitos params))
-  in
+  let details = Litmus.run_detailed ~instrument (Policies.mitos params) in
   bounds.(n) <- Audit.next_id audit;
   let oracles =
     Pool.map_opt pool
@@ -177,13 +172,9 @@ let workload ?(capacity = 65536) ?sink ?pool ?config ?max_steps ~name params
     build =
   let audit = Audit.create ~capacity ?sink () in
   Audit.record_note audit ("workload:" ^ name);
-  Mitos.Decision.set_audit (Some audit);
   let engine =
-    Fun.protect
-      ~finally:(fun () -> Mitos.Decision.set_audit None)
-      (fun () ->
-        W.Workload.run_live ?config ?max_steps ~audit
-          ~policy:(Policies.mitos params) (build ()))
+    W.Workload.run_live ?config ?max_steps ~audit
+      ~policy:(Policies.mitos params) (build ())
   in
   let oracles =
     Pool.map_opt pool

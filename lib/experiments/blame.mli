@@ -3,8 +3,8 @@
     — or provenance evictions — behind every over- and under-tainted
     byte.
 
-    The audited run executes [Policies.mitos params] with the
-    [Mitos.Decision] audit probe installed; two oracle runs bound the
+    The audited run executes [Policies.mitos params] in engines
+    instrumented with the recorder; two oracle runs bound the
     truth from both sides. [propagate-all] is the reachability upper
     bound — taint it produces that the audited run lacks is
     {e under}-tainting, attributed to Block records and evictions of
@@ -16,9 +16,9 @@
     (asserted by the test suite), because every indirect propagation
     difference passes through an audited Alg. 2 call.
 
-    The audited run is sequential (the audit probe is module-global);
-    [pool] only fans out the oracle runs, so summaries and the audit
-    JSONL are byte-identical at every [--jobs] degree. *)
+    The audited run is sequential, since all its decisions append to
+    one recorder; [pool] only fans out the oracle runs, so summaries
+    and the audit JSONL are byte-identical at every [--jobs] degree. *)
 
 type direction = Over | Under
 

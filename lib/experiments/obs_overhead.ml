@@ -80,21 +80,18 @@ let contract_ok r = disabled_overhead r <= 0.05
    outside the timed window: the overhead contract is about the
    per-record hot path, and construction is allocation-heavy enough
    to drown a few-percent signal in GC noise. [setup] builds this
-   repetition's observability wiring and returns its teardown (run
-   after the timed window, e.g. clearing the global audit probe). *)
+   repetition's observability wiring. *)
 let replay_once ~built ~trace ~slice setup =
   let engine =
     W.Workload.engine_of
       ~policy:(Mitos_dift.Policies.mitos (Calib.sensitivity_params ()))
       built
   in
-  let teardown = setup engine in
+  setup engine;
   Engine.attach_shadow engine ~mem_size:(Mitos_replay.Trace.mem_size trace);
   let t0 = Unix.gettimeofday () in
   Array.iter (Engine.process_record engine) slice;
-  let dt = Unix.gettimeofday () -. t0 in
-  teardown ();
-  dt
+  Unix.gettimeofday () -. t0
 
 (* Best-of-repetitions processing time per mode, with the modes
    interleaved round-robin: comparing a few percent between modes is
@@ -121,8 +118,6 @@ let time_modes ~repetitions ~inner fs =
   done;
   best
 
-let no_teardown () = ()
-
 let measure () =
   let seed = 1 and records = 5_000 and repetitions = 10 in
   let built = W.Netbench.build ~seed ~chunks:4 () in
@@ -137,20 +132,14 @@ let measure () =
   let times =
     time_modes ~repetitions ~inner
       [
-        run (fun _engine -> no_teardown);
+        run ignore;
+        run (fun engine -> Engine.instrument engine Obs.disabled);
+        run (fun engine -> Engine.instrument engine (real_obs ()));
         run (fun engine ->
-            Engine.instrument engine Obs.disabled;
-            no_teardown);
-        run (fun engine ->
-            Engine.instrument engine (real_obs ());
-            no_teardown);
-        run (fun engine ->
-            (* full audit: flight recorder on the decision probe and
-               the engine (evictions, flow context) *)
+            (* full audit: decisions, evictions and flow context in
+               the flight recorder *)
             let audit = Audit.create ~capacity:(1 lsl 20) () in
-            Mitos.Decision.set_audit (Some audit);
-            Engine.instrument ~audit engine (real_obs ());
-            fun () -> Mitos.Decision.set_audit None);
+            Engine.instrument ~audit engine (real_obs ()));
       ]
   in
   (* The exposition-server row needs the server parked for the whole
@@ -175,9 +164,7 @@ let measure () =
       (fun () ->
         time_modes ~repetitions ~inner
           [
-            run (fun engine ->
-                Engine.instrument engine server_obs;
-                no_teardown);
+            run (fun engine -> Engine.instrument engine server_obs);
           ])
   in
   (* Profiler-on row: the full cross-process profiling stack active —
@@ -191,9 +178,9 @@ let measure () =
     Mitos_obs.Propagation.create ~seed (Mitos_obs.Obs_clock.real ())
   in
   let run_profiled () =
-    let dt = replay_once ~built ~trace ~slice (fun engine ->
-        Engine.instrument engine profiled_obs;
-        no_teardown)
+    let dt =
+      replay_once ~built ~trace ~slice (fun engine ->
+          Engine.instrument engine profiled_obs)
     in
     let t0 = Unix.gettimeofday () in
     for _ = 1 to Array.length slice do

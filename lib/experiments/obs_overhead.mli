@@ -7,7 +7,8 @@
     observability layer's cost contract (no-op sink, audit disabled,
     within 5% of baseline) is measurable, not asserted. The replay
     runs under [Policies.mitos], so the decision hot path (including
-    its audit probe check) is part of every mode. *)
+    its decision-context checks) is part of every mode, and every
+    instrumented mode also times Alg. 2 into its obs context. *)
 
 type result = {
   records : int;  (** replayed records per repetition *)

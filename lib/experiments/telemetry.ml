@@ -195,8 +195,9 @@ let pilot ?params ?rules ?(window = 0.0) ?clock ?(sample_every = 256)
   let registry = Obs.registry obs in
   let trace = Workload.record (build ()) in
   (* Oracle-panel sweep on the pool. Workers replay un-instrumented
-     (no obs, probes unset), so nothing they do can perturb the obs
-     context — the determinism across --jobs hinges on this. *)
+     engines, whose policies decide under [Decision.no_ctx], so nothing
+     they do can perturb the obs context — the determinism across
+     --jobs hinges on this. *)
   let summaries =
     Mitos_parallel.Pool.map_opt pool
       ~f:(fun (name, policy) ->
@@ -242,16 +243,7 @@ let pilot ?params ?rules ?(window = 0.0) ?clock ?(sample_every = 256)
   in
   engine_cell := Some engine;
   let replay () =
-    Mitos.Decision.set_obs (Some obs);
-    Mitos.Solver.set_obs (Some obs);
-    Mitos.Decision.set_audit (Some audit);
-    Fun.protect
-      ~finally:(fun () ->
-        Mitos.Decision.set_audit None;
-        Mitos.Decision.set_obs None;
-        Mitos.Solver.set_obs None)
-      (fun () ->
-        ignore (Driver.run ~obs trace ~f:(Engine.process_record engine)))
+    ignore (Driver.run ~obs trace ~f:(Engine.process_record engine))
   in
   let src =
     source ~slo ~audit

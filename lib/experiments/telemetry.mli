@@ -106,16 +106,15 @@ val default_rules : Mitos_obs.Alerts.rule list
     domain under the supplied clock (logical by default), so a
     {!Mitos_obs.Server.oneshot} of {!routes} after {!pilot.replay} is
     byte-identical across [--jobs] settings — the sweep workers never
-    touch the obs context or the global decision probes. *)
+    touch the obs context or the audit recorder. *)
 
 type pilot = {
   src : source;  (** SLO engine, audit and progress all populated *)
   engine : Mitos_dift.Engine.t;  (** the MITOS replay engine *)
   replay : unit -> unit;
-      (** Drive the audited replay (call once). Sets the global
-          decision/solver probes for its duration and restores them
-          to [None] after, so pooled work that follows cannot race
-          the rings. *)
+      (** Drive the audited replay (call once). Its policy's
+          decisions reach the obs context and the recorder only
+          through this engine's decision context. *)
   over_taint_bound : float;  (** propagate-all final tainted bytes *)
 }
 

@@ -15,8 +15,9 @@
     The recorder follows the {!Obs.disabled} contract: {!null} is the
     shared disabled instance, every recording entry point is a no-op
     on it, and hot-path call sites guard with one [enabled] check (in
-    practice one [Atomic] load of an installed probe — see
-    [Mitos.Decision.set_audit]). Records are retained in a bounded
+    practice a match on the recorder held by the engine or by the
+    decision context it builds — see [Mitos.Decision.make_ctx]).
+    Records are retained in a bounded
     keep-oldest ring (the retained prefix is deterministic); an
     optional sink additionally receives {e every} record as a JSONL
     line, bounded only by the consumer.
@@ -87,8 +88,7 @@ val link_tracer : t -> Tracer.t -> unit
 
 val set_context : t -> ?step:int -> ?pc:int -> ?flow:string -> unit -> unit
 (** Ambient fields stamped onto subsequent {!record_decision} calls.
-    The engine sets all three before consulting its policy; a policy
-    used standalone sets [step] and [flow] from the request. Fields
+    The engine sets all three before consulting its policy. Fields
     not passed keep their previous value ([-1] / [""] initially). *)
 
 val record_decision :

@@ -502,7 +502,7 @@ let qcheck_alg2_paper_equals_scanning_homogeneous =
           (fun r -> (r.Decision.tag, r.Decision.verdict))
           (f p env ~space (List.map fst candidates))
       in
-      verdicts Decision.alg2 = verdicts Decision.alg2_paper)
+      verdicts (Decision.alg2 ?ctx:None) = verdicts Decision.alg2_paper)
 
 (* Alg. 2 as first written: Eq. (8) through [Cost.marginal] once per
    candidate to sort, and again per candidate in the greedy pass. The
@@ -593,8 +593,38 @@ let qcheck_alg2_equals_reference =
             && r.Decision.verdict = v)
           got want
       in
-      same (Decision.alg2 p env ~space tags)
+      (* a live context times and records the call but changes no
+         bit of it, and the record carries the verdicts returned *)
+      let audit = Mitos_obs.Audit.create () in
+      let ctx =
+        Decision.make_ctx ~obs:(Mitos_obs.Obs.create ()) ~audit ()
+      in
+      let plain = Decision.alg2 p env ~space tags in
+      let traced = Decision.alg2 ~ctx p env ~space tags in
+      let recorded =
+        match Mitos_obs.Audit.records audit with
+        | [| { body = Mitos_obs.Audit.Decision { tags; _ }; _ } |] ->
+          List.map
+            (fun (d : Mitos_obs.Audit.tag_decision) ->
+              ( d.tag,
+                Int64.bits_of_float d.marginal,
+                d.verdict = Mitos_obs.Audit.Propagate ))
+            tags
+        | _ -> []
+      in
+      same plain
         (reference_alg2 ~recompute:true ~paper:false p env ~space tags)
+      && same traced
+           (List.map
+              (fun (r : Decision.ranked) -> (r.tag, r.marginal, r.verdict))
+              plain)
+      && recorded
+         = List.map
+             (fun (r : Decision.ranked) ->
+               ( Tag.to_string r.tag,
+                 Int64.bits_of_float r.marginal,
+                 r.verdict = Decision.Propagate ))
+             plain
       && same
            (Decision.alg2_no_recompute p env ~space tags)
            (reference_alg2 ~recompute:false ~paper:false p env ~space tags)

@@ -380,6 +380,7 @@ let req ~kind ~candidates ~space =
     width = 1;
     stats = Tag_stats.create ();
     step = 0;
+    ctx = Mitos.Decision.no_ctx;
   }
 
 let test_policy_basics () =

@@ -287,14 +287,10 @@ let test_blame_jobs_deterministic () =
 let test_flowgraph_deterministic () =
   let run () =
     let audit = Audit.create () in
-    Mitos.Decision.set_audit (Some audit);
     let engine =
-      Fun.protect
-        ~finally:(fun () -> Mitos.Decision.set_audit None)
-        (fun () ->
-          W.Workload.run_live ~audit
-            ~policy:(Mitos_dift.Policies.mitos (E.Calib.sensitivity_params ()))
-            (W.Netbench.build ~seed:5 ~chunks:10 ()))
+      W.Workload.run_live ~audit
+        ~policy:(Mitos_dift.Policies.mitos (E.Calib.sensitivity_params ()))
+        (W.Netbench.build ~seed:5 ~chunks:10 ())
     in
     let g =
       E.Flowgraph.build
@@ -308,6 +304,57 @@ let test_flowgraph_deterministic () =
   Alcotest.(check string) "dot byte-identical" dot1 dot2;
   Alcotest.(check string) "json byte-identical" json1 json2;
   Alcotest.(check bool) "graph has edges" true (edges1 > 0)
+
+(* Each engine's decisions reach only its own decision context. Two
+   instrumented all-flows engines and an uninstrumented one share a
+   two-domain pool: each obs counts exactly the Alg. 2 calls in its
+   own log, and each log (and count) equals a solo run's. *)
+let test_ctx_exact_on_pool () =
+  let params = E.Calib.sensitivity_params () in
+  let run ?obs ?audit seed =
+    ignore
+      (W.Workload.run_live ~config:E.Calib.attack_engine_config ?obs ?audit
+         ~policy:(E.Calib.mitos_all_flows params)
+         (W.Netbench.build ~seed ~chunks:10 ()))
+  in
+  let instrumented seed =
+    (seed, Mitos_obs.Obs.create (), Audit.create ~capacity:(1 lsl 20) ())
+  in
+  let alg2_calls obs =
+    Mitos_obs.Histogram.count
+      (Mitos_obs.Registry.histogram (Mitos_obs.Obs.registry obs)
+         "mitos_alg2_candidates")
+  in
+  let alg2_records audit =
+    Array.fold_left
+      (fun n (r : Audit.record) ->
+        match r.Audit.body with
+        | Audit.Decision { algorithm = "alg2"; _ } -> n + 1
+        | _ -> n)
+      0 (Audit.records audit)
+  in
+  let a = instrumented 5 and b = instrumented 6 in
+  ignore
+    (Pool.with_pool ~jobs:2 (fun pool ->
+         Pool.map pool
+           ~f:(function
+             | Some (seed, obs, audit) -> run ~obs ~audit seed
+             | None -> run 7)
+           [ Some a; None; Some b ]));
+  List.iter
+    (fun (seed, obs, audit) ->
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.(check int) (name "nothing dropped") 0 (Audit.dropped audit);
+      Alcotest.(check bool) (name "alg2 ran") true (alg2_records audit > 0);
+      Alcotest.(check int) (name "candidates count = alg2 records")
+        (alg2_records audit) (alg2_calls obs);
+      let _, solo_obs, solo_audit = instrumented seed in
+      run ~obs:solo_obs ~audit:solo_audit seed;
+      Alcotest.(check string) (name "log = solo run's")
+        (Audit.to_jsonl solo_audit) (Audit.to_jsonl audit);
+      Alcotest.(check int) (name "count = solo run's") (alg2_calls solo_obs)
+        (alg2_calls obs))
+    [ a; b ]
 
 (* The flow graph's verdict counts must agree with the audit log. *)
 let test_flowgraph_counts () =
@@ -778,6 +825,8 @@ let () =
           Alcotest.test_case "flowgraph deterministic" `Quick
             test_flowgraph_deterministic;
           Alcotest.test_case "flowgraph counts" `Quick test_flowgraph_counts;
+          Alcotest.test_case "decision ctx exact on a pool" `Quick
+            test_ctx_exact_on_pool;
         ] );
       ( "calib",
         [ Alcotest.test_case "params" `Quick test_calib_params ] );
