@@ -18,13 +18,7 @@
      dune exec bench/main.exe -- MODE --shards N -- shard the shadow stores
                                                     N ways (for a fixed N,
                                                     output is byte-identical
-                                                    across --jobs)
-     dune exec bench/main.exe -- MODE --listen HOST:PORT
-                                                 -- expose /metrics, /healthz,
-                                                    /snapshot.json, /tracez and
-                                                    /auditz (from a netbench
-                                                    telemetry pilot) for the
-                                                    duration of the run *)
+                                                    across --jobs) *)
 
 open Bechamel
 open Toolkit
@@ -288,45 +282,13 @@ let run_micro () =
   in
   Notty_unix.eol img |> Notty_unix.output_image
 
-(* -- live telemetry (--listen) ----------------------------------------- *)
-
-(* A long `bench` run is exactly the kind of invocation an operator
-   wants to scrape: with --listen we replay the netbench telemetry
-   pilot once (so the registry, SLO engine and audit ring hold
-   real data) and keep the exposition server up for the duration of
-   the benchmark modes. The server lives on its own domain and the
-   benchmark loops never touch it, so timings are unaffected. *)
-let start_telemetry = function
-  | None -> None
-  | Some hostport ->
-    let host, port =
-      match Mitos_obs.Server.parse_url hostport with
-      | Ok (host, port, _path) -> (host, port)
-      | Error msg ->
-        prerr_endline ("bench: --listen: " ^ msg);
-        exit 2
-    in
-    let p =
-      E.Telemetry.pilot
-        ~build:(fun () -> Mitos_workload.Netbench.build ~seed:42 ())
-        ()
-    in
-    p.E.Telemetry.replay ();
-    let server =
-      Mitos_obs.Server.start ~host ~port (E.Telemetry.routes p.E.Telemetry.src)
-    in
-    Printf.printf "serving telemetry on http://%s/\n%!"
-      (Mitos_obs.Server.addr server);
-    Some server
-
 (* -- entry point ------------------------------------------------------- *)
 
 let () =
-  (* argv: [mode] [report-path] with --jobs N / --listen HOST:PORT
-     anywhere after the exe *)
+  (* argv: [mode] [report-path] with --jobs N / --shards N anywhere
+     after the exe *)
   let jobs = ref (Pool.default_jobs ()) in
   let shards = ref 1 in
-  let listen = ref None in
   let positional = ref [] in
   let rec parse i =
     if i < Array.length Sys.argv then begin
@@ -336,9 +298,6 @@ let () =
         parse (i + 2)
       | "--shards" when i + 1 < Array.length Sys.argv ->
         shards := max 1 (int_of_string Sys.argv.(i + 1));
-        parse (i + 2)
-      | "--listen" when i + 1 < Array.length Sys.argv ->
-        listen := Some Sys.argv.(i + 1);
         parse (i + 2)
       | arg ->
         (match String.index_opt arg '=' with
@@ -353,10 +312,6 @@ let () =
             max 1
               (int_of_string
                  (String.sub arg (eq + 1) (String.length arg - eq - 1)))
-        | Some eq
-          when String.length arg > 9 && String.sub arg 0 9 = "--listen=" ->
-          listen :=
-            Some (String.sub arg (eq + 1) (String.length arg - eq - 1))
         | _ -> positional := arg :: !positional);
         parse (i + 1))
     end
@@ -366,7 +321,6 @@ let () =
      process default; for a fixed shard count the experiment output
      stays byte-identical across --jobs *)
   Shadow.set_default_shards !shards;
-  let server = start_telemetry !listen in
   let mode, rest =
     match List.rev !positional with
     | [] -> ("all", [])
@@ -385,5 +339,4 @@ let () =
     with_jobs (fun ~pool -> run_experiments ~pool ());
     E.Report.print (E.Obs_overhead.run ());
     run_micro ());
-  Option.iter Mitos_obs.Server.stop server;
   print_newline ()
