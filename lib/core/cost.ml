@@ -15,7 +15,7 @@ let under_total p stats =
   Tag_stats.fold stats ~init:0.0 ~f:(fun acc tag n ->
       acc +. under_tag p (Tag.ty tag) (float_of_int n))
 
-let weighted_pollution p stats = Tag_stats.weighted_total stats (Params.o p)
+let weighted_pollution p stats = Tag_stats.weighted_total stats p.Params.o
 
 let over_of_pollution p pollution =
   let n_r = float_of_int p.Params.total_tag_space in
@@ -29,9 +29,11 @@ let under_submarginal p ty ~n =
   if n <= 0.0 then neg_infinity
   else -.(p.Params.u.(Tag_type.to_int ty) *. (n ** -.p.Params.alpha))
 
+(* [Params.tau_effective] written out: the same product, not boxed on
+   its way back from a call *)
 let over_factor p pollution =
   let n_r = float_of_int p.Params.total_tag_space in
-  Params.tau_effective p *. p.Params.beta
+  p.Params.tau *. p.Params.tau_scale *. p.Params.beta
   *. ((Float.max 0.0 pollution /. n_r) ** (p.Params.beta -. 1.0))
 
 (* [*.] associates left, so this is g(P)'s product times o_t: the

@@ -90,6 +90,9 @@ type alert = {
 
 type arrival = { arr_tag : Tag.t; arr_step : int; arr_via : string }
 
+(* decisions made at one pc *)
+type site = { mutable site_prop : int; mutable site_block : int }
+
 type t = {
   config : config;
   policy : Policy.t;
@@ -105,7 +108,7 @@ type t = {
   mutable rev_alerts : alert list;
   mutable current_step : int;
   mutable current_pc : int;
-  site_profile : (int, int ref * int ref) Hashtbl.t; (* pc -> (prop, blocked) *)
+  site_profile : (int, site) Hashtbl.t; (* pc -> its decisions *)
   sink_stats : (int, Tag_stats.t) Hashtbl.t;
   snapshots : (int, Tag.t list array) Hashtbl.t;
   mutable history_on : bool;
@@ -113,6 +116,9 @@ type t = {
   mutable instruments : instruments option;
   mutable audit : Mitos_obs.Audit.t option;
   mutable ctx : Mitos.Decision.ctx;
+  scratch : Mitos.Decision.scratch;
+      (* the policy's Alg. 2 arrays: one per engine, so engines on
+         different domains never share one *)
 }
 
 let create ?(config = default_config) ~policy ~source_tag prog =
@@ -139,6 +145,7 @@ let create ?(config = default_config) ~policy ~source_tag prog =
     instruments = None;
     audit = None;
     ctx = Mitos.Decision.no_ctx;
+    scratch = Mitos.Decision.scratch ();
   }
 
 (* Count every provenance-list eviction — taint removed behind the
@@ -427,45 +434,51 @@ let consult t shadow ~kind ~candidates ~space ~width ~step =
       stats = Shadow.stats shadow;
       step;
       ctx = t.ctx;
+      scratch = t.scratch;
     }
   in
   Policy.select t.policy request
 
+(* The row is created on a pc's first decision, an empty batch's
+   included, so [site_profile] lists every pc that consulted the
+   policy. [find] rather than [find_opt]: no [Some] per call. *)
 let site_cell t =
-  match Hashtbl.find_opt t.site_profile t.current_pc with
-  | Some cell -> cell
-  | None ->
-    let cell = (ref 0, ref 0) in
-    Hashtbl.add t.site_profile t.current_pc cell;
-    cell
+  match Hashtbl.find t.site_profile t.current_pc with
+  | site -> site
+  | exception Not_found ->
+    let site = { site_prop = 0; site_block = 0 } in
+    Hashtbl.add t.site_profile t.current_pc site;
+    site
+
+let rec count_each t site ~chosen = function
+  | [] -> ()
+  | tag :: tags ->
+    let c = t.counters in
+    let ti = Tag_type.to_int (Tag.ty tag) in
+    let propagated = Tag.mem tag chosen in
+    if propagated then begin
+      c.ifp_propagated <- c.ifp_propagated + 1;
+      site.site_prop <- site.site_prop + 1;
+      c.per_type_propagated.(ti) <- c.per_type_propagated.(ti) + 1
+    end
+    else begin
+      c.ifp_blocked <- c.ifp_blocked + 1;
+      site.site_block <- site.site_block + 1;
+      c.per_type_blocked.(ti) <- c.per_type_blocked.(ti) + 1
+    end;
+    (match t.instruments with
+    | None -> ()
+    | Some ins ->
+      Mitos_obs.Registry.incr
+        (if propagated then ins.ifp_prop.(ti) else ins.ifp_block.(ti)));
+    count_each t site ~chosen tags
 
 let count_ifp t ~candidates ~chosen =
-  let site_prop, site_block = site_cell t in
-  List.iter
-    (fun tag ->
-      let ti = Tag_type.to_int (Tag.ty tag) in
-      let propagated = Tag.mem tag chosen in
-      if propagated then begin
-        t.counters.ifp_propagated <- t.counters.ifp_propagated + 1;
-        incr site_prop;
-        t.counters.per_type_propagated.(ti) <-
-          t.counters.per_type_propagated.(ti) + 1
-      end
-      else begin
-        t.counters.ifp_blocked <- t.counters.ifp_blocked + 1;
-        incr site_block;
-        t.counters.per_type_blocked.(ti) <- t.counters.per_type_blocked.(ti) + 1
-      end;
-      match t.instruments with
-      | None -> ()
-      | Some ins ->
-        Mitos_obs.Registry.incr
-          (if propagated then ins.ifp_prop.(ti) else ins.ifp_block.(ti)))
-    candidates
+  count_each t (site_cell t) ~chosen candidates
 
 let site_profile t =
   Hashtbl.fold
-    (fun pc (prop, blocked) acc -> (pc, !prop, !blocked) :: acc)
+    (fun pc site acc -> (pc, site.site_prop, site.site_block) :: acc)
     t.site_profile []
   |> List.sort (fun (_, p1, b1) (_, p2, b2) ->
          Int.compare (p2 + b2) (p1 + b1))

@@ -77,7 +77,10 @@ val create :
   source_tag:(source:int -> source_action) ->
   Mitos_isa.Program.t ->
   t
-(** The shadow memory is sized on first attach (see {!attach}). *)
+(** The shadow memory is sized on first attach (see {!attach}). The
+    engine owns one [Mitos.Decision.scratch] and hands it to its policy
+    in every {!Policy.request}, so a policy shared by engines on
+    several domains never shares the arrays it decides in. *)
 
 val attach : t -> Mitos_isa.Machine.t -> unit
 (** Bind the machine whose execution will be tracked. Must be running
@@ -144,9 +147,9 @@ val instrument :
 
     The policy's decisions join in through one [Mitos.Decision.ctx],
     built here from the live context and recorder and carried in
-    every {!Policy.request}: its Alg. 1/2 calls time into this
-    context's [mitos_alg1_latency_ticks] / [mitos_alg2_latency_ticks]
-    / [mitos_alg2_candidates] histograms and append their [Decision]
+    every {!Policy.request}: its Alg. 2 calls time into this
+    context's [mitos_alg2_latency_ticks] / [mitos_alg2_candidates]
+    histograms, and its Alg. 1/2 calls append their [Decision]
     records, stamped with the consultation's context, to this
     recorder. Engines instrumented with different contexts keep their
     decisions apart, on any domain.

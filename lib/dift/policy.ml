@@ -21,6 +21,7 @@ type request = {
   stats : Tag_stats.t;
   step : int;
   ctx : Mitos.Decision.ctx;
+  scratch : Mitos.Decision.scratch;
 }
 
 type t = { name : string; select : request -> Tag.t list }

@@ -30,6 +30,10 @@ type request = {
       (** where the policy's Alg. 1/2 calls send their timing and
           audit records; [Mitos.Decision.no_ctx] outside an
           instrumented engine *)
+  scratch : Mitos.Decision.scratch;
+      (** the engine's Alg. 2 arrays, reused from one request to the
+          next; a policy may overwrite them while it decides this
+          request *)
 }
 
 type t = {

@@ -151,7 +151,7 @@ let standard_signals ?over_taint_bound ~obs engine (s : Metrics.sample) =
       ( "eviction_rate",
         float_of_int c.evictions /. float_of_int (max 1 c.steps) );
       ( "tag_space_occupancy",
-        Shadow.pollution shadow ~o:(fun _ -> 1.0) );
+        Shadow.pollution shadow ~o:(Array.make Mitos_tag.Tag_type.count 1.0) );
       ("tainted_bytes", float_of_int s.sampled_tainted);
       ("distinct_tags", float_of_int s.sampled_distinct);
     ]

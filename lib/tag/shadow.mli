@@ -99,9 +99,10 @@ val num_regs : t -> int
 val total_tag_space : t -> int
 (** The paper's [N_R = R * M_prov] (registers included). *)
 
-val pollution : t -> o:(Tag_type.t -> float) -> float
+val pollution : t -> o:float array -> float
 (** [sum_t o_t sum_i n_{t,i} / N_R] — the global memory-pollution
-    fraction entering the overtainting cost. *)
+    fraction entering the overtainting cost; [o] is indexed by
+    [Tag_type.to_int]. *)
 
 (** {1 Single-tag operations} *)
 

@@ -54,13 +54,14 @@ let per_type t ty = t.per_type_total.(Tag_type.to_int ty)
 let distinct t = Array.fold_left ( + ) 0 t.per_type_distinct
 let distinct_of_type t ty = t.per_type_distinct.(Tag_type.to_int ty)
 
+(* Indices 0..7 are [Tag_type.all]'s order, so the sum is added up in
+   the same order, to the same bits, as a fold over that list. *)
 let weighted_total t o =
   let acc = ref 0.0 in
-  List.iter
-    (fun ty ->
-      let n = per_type t ty in
-      if n > 0 then acc := !acc +. (o ty *. float_of_int n))
-    Tag_type.all;
+  for ti = 0 to Tag_type.count - 1 do
+    let n = t.per_type_total.(ti) in
+    if n > 0 then acc := !acc +. (o.(ti) *. float_of_int n)
+  done;
   !acc
 
 let fold t ~init ~f =

@@ -30,9 +30,11 @@ val distinct : t -> int
 
 val distinct_of_type : t -> Tag_type.t -> int
 
-val weighted_total : t -> (Tag_type.t -> float) -> float
+val weighted_total : t -> float array -> float
 (** [weighted_total t o] is [sum_t o_t sum_i n_{t,i}] — the numerator
-    of the paper's overtainting cost (Eq. 4). O(#types), not O(#tags). *)
+    of the paper's overtainting cost (Eq. 4), with [o] indexed by
+    [Tag_type.to_int]. Summed in [Tag_type.all]'s order; O(#types),
+    not O(#tags). *)
 
 val fold : t -> init:'a -> f:('a -> Tag.t -> int -> 'a) -> 'a
 (** Folds over tags with positive counts. *)

@@ -381,6 +381,7 @@ let req ~kind ~candidates ~space =
     stats = Tag_stats.create ();
     step = 0;
     ctx = Mitos.Decision.no_ctx;
+    scratch = Mitos.Decision.scratch ();
   }
 
 let test_policy_basics () =
@@ -591,6 +592,63 @@ let qcheck_combinator_laws =
       subset inter sa && subset sa uni
       && List.length (List.sort_uniq Tag.compare uni) = List.length uni)
 
+(* The MITOS policy decides in the scratch its request carries; the
+   list entry points decide in a scratch of their own. One scratch is
+   reused across every batch of a run here, longer batches and shorter
+   ones mixed, so an entry a batch left behind cannot leak into a later
+   one unseen. Ids come from a small range, so batches hold duplicates;
+   space runs past the batch size; weights differ per type, so the
+   greedy pass's recomputation (line 9) moves the order. *)
+let qcheck_policy_scratch_matches_alg2 =
+  let batch =
+    QCheck.Gen.(
+      let* n = 0 -- 40 in
+      let* candidates =
+        list_repeat n
+          (map2 (fun ty id -> Tag.make (Tag_type.of_int ty) id) (0 -- 2) (0 -- 15))
+      in
+      let* space = 0 -- (n + 1) in
+      let* recompute = bool in
+      let* tau = oneofl [ 0.0; 0.002; 0.02; 0.2; 2.0 ] in
+      return (candidates, space, recompute, tau))
+  in
+  let counts = QCheck.Gen.(list_repeat 48 (0 -- 30)) in
+  QCheck.Test.make ~name:"policy scratch = alg2_accepted" ~count:100
+    QCheck.(make Gen.(pair counts (list_size (1 -- 12) batch)))
+    (fun (counts, batches) ->
+      let stats = Tag_stats.create () in
+      List.iteri
+        (fun i c ->
+          let tag = Tag.make (Tag_type.of_int (i / 16)) (i mod 16) in
+          for _ = 1 to c do Tag_stats.incr stats tag done)
+        counts;
+      let scratch = Mitos.Decision.scratch () in
+      List.for_all
+        (fun (candidates, space, recompute, tau) ->
+          let params =
+            Mitos.Params.make ~tau ~total_tag_space:4000 ~mem_capacity:100
+              ~u:[ (Tag_type.File, 3.0) ]
+              ~o:[ (Tag_type.File, 2.5); (Tag_type.Process, 0.5) ]
+              ()
+          in
+          let request =
+            { (req ~kind:Policy.Addr ~candidates ~space) with stats; scratch }
+          in
+          let got = Policy.select (Policies.mitos ~recompute params) request in
+          let env = Mitos.Decision.of_stats params stats in
+          let expected =
+            if recompute then
+              Mitos.Decision.alg2_accepted params env ~space candidates
+            else
+              Mitos.Decision.alg2_no_recompute params env ~space candidates
+              |> List.filter_map (fun (r : Mitos.Decision.ranked) ->
+                     match r.verdict with
+                     | Mitos.Decision.Propagate -> Some r.tag
+                     | Mitos.Decision.Block -> None)
+          in
+          List.equal Tag.equal got expected)
+        batches)
+
 (* -- replay equivalence ------------------------------------------------------- *)
 
 let test_replay_equals_live () =
@@ -681,6 +739,7 @@ let () =
           Alcotest.test_case "combinator stack on workload" `Quick
             test_combinator_stack_on_workload;
           q qcheck_combinator_laws;
+          q qcheck_policy_scratch_matches_alg2;
         ] );
       ( "litmus",
         [

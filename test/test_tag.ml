@@ -171,7 +171,10 @@ let test_stats_weighted_total () =
   Tag_stats.incr s (net 1);
   Tag_stats.incr s (net 2);
   Tag_stats.incr s (file 1);
-  let o ty = if Tag_type.equal ty Tag_type.Network then 2.0 else 0.5 in
+  let o =
+    Array.init Tag_type.count (fun i ->
+        if i = Tag_type.to_int Tag_type.Network then 2.0 else 0.5)
+  in
   Alcotest.(check (float 1e-9)) "weighted" 4.5 (Tag_stats.weighted_total s o)
 
 let test_stats_snapshot_and_arrays () =
