@@ -155,43 +155,85 @@ let encode enc t =
   | Nop -> E.uint enc 10
   | Halt -> E.uint enc 11
 
-let decode dec =
+(* Each field is read into a local and compared with [own]'s; only an
+   instruction that differs from [own] is built. The binop, condition
+   and width constructors are constants, so [==] compares them. *)
+let decode_as own dec =
   let module D = Mitos_util.Codec.Dec in
   match D.uint dec with
-  | 0 ->
+  | 0 -> (
     let rd = D.uint dec in
-    Li (rd, D.int dec)
-  | 1 ->
+    let imm = D.int dec in
+    match own with
+    | Li (rd', imm') when rd = rd' && imm = imm' -> own
+    | _ -> Li (rd, imm))
+  | 1 -> (
     let rd = D.uint dec in
-    Mov (rd, D.uint dec)
-  | 2 ->
+    let rs = D.uint dec in
+    match own with
+    | Mov (rd', rs') when rd = rd' && rs = rs' -> own
+    | _ -> Mov (rd, rs))
+  | 2 -> (
     let op = binop_of_code (D.uint dec) in
     let rd = D.uint dec in
     let rs1 = D.uint dec in
-    Bin (op, rd, rs1, D.uint dec)
-  | 3 ->
+    let rs2 = D.uint dec in
+    match own with
+    | Bin (op', rd', rs1', rs2')
+      when op == op' && rd = rd' && rs1 = rs1' && rs2 = rs2' ->
+      own
+    | _ -> Bin (op, rd, rs1, rs2))
+  | 3 -> (
     let op = binop_of_code (D.uint dec) in
     let rd = D.uint dec in
     let rs = D.uint dec in
-    Bini (op, rd, rs, D.int dec)
-  | 4 ->
+    let imm = D.int dec in
+    match own with
+    | Bini (op', rd', rs', imm')
+      when op == op' && rd = rd' && rs = rs' && imm = imm' ->
+      own
+    | _ -> Bini (op, rd, rs, imm))
+  | 4 -> (
     let w = width_of_code (D.uint dec) in
     let rd = D.uint dec in
     let rb = D.uint dec in
-    Load (w, rd, rb, D.int dec)
-  | 5 ->
+    let off = D.int dec in
+    match own with
+    | Load (w', rd', rb', off')
+      when w == w' && rd = rd' && rb = rb' && off = off' ->
+      own
+    | _ -> Load (w, rd, rb, off))
+  | 5 -> (
     let w = width_of_code (D.uint dec) in
     let rs = D.uint dec in
     let rb = D.uint dec in
-    Store (w, rs, rb, D.int dec)
-  | 6 ->
+    let off = D.int dec in
+    match own with
+    | Store (w', rs', rb', off')
+      when w == w' && rs = rs' && rb = rb' && off = off' ->
+      own
+    | _ -> Store (w, rs, rb, off))
+  | 6 -> (
     let c = cond_of_code (D.uint dec) in
     let rs1 = D.uint dec in
     let rs2 = D.uint dec in
-    Branch (c, rs1, rs2, D.uint dec)
-  | 7 -> Jmp (D.uint dec)
-  | 8 -> Jr (D.uint dec)
-  | 9 -> Syscall (D.uint dec)
+    let target = D.uint dec in
+    match own with
+    | Branch (c', rs1', rs2', target')
+      when c == c' && rs1 = rs1' && rs2 = rs2' && target = target' ->
+      own
+    | _ -> Branch (c, rs1, rs2, target))
+  | 7 -> (
+    let target = D.uint dec in
+    match own with Jmp target' when target = target' -> own | _ -> Jmp target)
+  | 8 -> (
+    let rs = D.uint dec in
+    match own with Jr rs' when rs = rs' -> own | _ -> Jr rs)
+  | 9 -> (
+    let n = D.uint dec in
+    match own with Syscall n' when n = n' -> own | _ -> Syscall n)
   | 10 -> Nop
   | 11 -> Halt
   | n -> raise (Mitos_util.Codec.Malformed (Printf.sprintf "opcode %d" n))
+
+let decode dec = decode_as Nop dec

@@ -88,3 +88,8 @@ val to_string : t -> string
 
 val encode : Mitos_util.Codec.Enc.t -> t -> unit
 val decode : Mitos_util.Codec.Dec.t -> t
+
+val decode_as : t -> Mitos_util.Codec.Dec.t -> t
+(** [decode_as own dec] reads what {!decode} reads, with the same
+    errors, and returns [own] itself when the encoded instruction
+    equals it: a record of a known program builds no instruction. *)

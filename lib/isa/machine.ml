@@ -374,11 +374,9 @@ let decode_record prog dec =
   let step = D.uint dec in
   let pc = D.uint dec in
   let instr =
-    let decoded = Instr.decode dec in
     if pc >= 0 && pc < Program.length prog then
-      let own = Program.instr prog pc in
-      if Instr.equal decoded own then own else decoded
-    else decoded
+      Instr.decode_as (Program.instr prog pc) dec
+    else Instr.decode dec
   in
   let reads = Instr.read_count instr in
   if D.uint dec <> reads then disagree pc "the number of read registers";

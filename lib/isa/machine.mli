@@ -112,7 +112,9 @@ val decode_record : Program.t -> Mitos_util.Codec.Dec.t -> exec_record
 (** [decode_record prog dec] reads one record of a trace of [prog]. An
     instruction equal to [prog]'s own at the record's [pc] is returned
     as that very value, so a decoded trace shares its program's
-    instructions instead of holding a copy per record.
+    instructions instead of holding a copy per record: the encoded
+    fields are compared with it as they are read, and no instruction
+    is built unless they differ.
 
     Raises [Mitos_util.Codec.Malformed] on a record whose register
     numbers, presence flags or access widths disagree with its own

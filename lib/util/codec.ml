@@ -102,17 +102,37 @@ module Dec = struct
     let acc = acc lor ((b land 0x7F) lsl shift) in
     if b land 0x80 = 0 then acc else uint_from t (shift + 7) acc
 
-  (* Most varints in a trace are one byte: read those inline, and hand
-     anything else (longer, or at end of input) to the top-level loop,
-     which starts over at the same byte. Neither path allocates. *)
+  (* [uint_from]'s loop without the per-byte bounds check, for a varint
+     that starts at least [max_varint + 1] bytes before the end: that
+     loop reads at most that many bytes before it gives up. Same value,
+     same error at the same [pos]. *)
+  let rec uint_unchecked t pos shift acc =
+    if shift > Sys.int_size then begin
+      t.pos <- pos;
+      raise (Malformed "varint too long")
+    end;
+    let b = Char.code (String.unsafe_get t.data pos) in
+    let acc = acc lor ((b land 0x7F) lsl shift) in
+    if b land 0x80 = 0 then begin
+      t.pos <- pos + 1;
+      acc
+    end
+    else uint_unchecked t (pos + 1) (shift + 7) acc
+
+  (* Most varints in a trace are one byte: read those inline. Longer
+     ones skip the bounds checks when the input is long enough; near
+     the end of the input, the checked loop starts over at the same
+     byte. No path allocates. *)
   let uint t =
     let pos = t.pos in
-    if pos < String.length t.data then begin
+    let left = String.length t.data - pos in
+    if left > 0 then begin
       let b = Char.code (String.unsafe_get t.data pos) in
       if b < 0x80 then begin
         t.pos <- pos + 1;
         b
       end
+      else if left > max_varint then uint_unchecked t pos 0 0
       else uint_from t 0 0
     end
     else uint_from t 0 0

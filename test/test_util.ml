@@ -350,6 +350,74 @@ let qcheck_codec_int_roundtrip =
       let n = n asr 1 in
       roundtrip Codec.Enc.int Codec.Dec.int n = n)
 
+(* A varint read one byte at a time, each byte bounds-checked, from
+   [pos]: the value (or [None] for a refused varint) and the position
+   the read stops at. *)
+let bytewise_uint s pos =
+  let rec go pos shift acc =
+    if shift > Sys.int_size || pos >= String.length s then (None, pos)
+    else
+      let b = Char.code s.[pos] in
+      let acc = acc lor ((b land 0x7F) lsl shift) in
+      if b land 0x80 = 0 then (Some acc, pos + 1) else go (pos + 1) (shift + 7) acc
+  in
+  go pos 0 0
+
+(* Inputs around the varint edge cases: random bytes, a varint cut
+   short, ten or more continuation bytes, and a padded (non-minimal)
+   encoding, each followed by 0-12 random bytes, so a read starts both
+   near and far from the end of the input. *)
+let varint_input =
+  let open QCheck.Gen in
+  let encoded n =
+    let enc = Codec.Enc.create () in
+    Codec.Enc.uint enc n;
+    Codec.Enc.contents enc
+  in
+  let value = oneof [ int_bound 0x3FFF; map abs int ] in
+  let head =
+    oneof
+      [
+        string_size ~gen:char (0 -- 12);
+        map2
+          (fun n cut ->
+            let s = encoded n in
+            String.sub s 0 (min cut (String.length s - 1)))
+          value (0 -- 8);
+        map (fun k -> String.make k '\x80') (10 -- 12);
+        map2
+          (fun n pad ->
+            let s = encoded n in
+            let last = String.length s - 1 in
+            String.sub s 0 last
+            ^ String.make 1 (Char.chr (Char.code s.[last] lor 0x80))
+            ^ String.make pad '\x80' ^ "\x00")
+          value (0 -- 4);
+      ]
+  in
+  map2 ( ^ ) head (string_size ~gen:char (0 -- 12))
+
+let qcheck_codec_uint_bytewise =
+  QCheck.Test.make ~name:"Dec.uint = byte-wise reader" ~count:2000
+    (QCheck.make ~print:String.escaped varint_input) (fun s ->
+      (* read varints back to back until one is refused or the input
+         ends, checking every read against the reference *)
+      let dec = Codec.Dec.of_string s in
+      let rec agree () =
+        let pos = Codec.Dec.pos dec in
+        let expected = bytewise_uint s pos in
+        let got =
+          match Codec.Dec.uint dec with
+          | n -> (Some n, Codec.Dec.pos dec)
+          | exception Codec.Malformed _ -> (None, Codec.Dec.pos dec)
+        in
+        got = expected
+        && (match got with
+           | Some _, next when next < String.length s -> agree ()
+           | _ -> true)
+      in
+      agree ())
+
 let qcheck_codec_string_roundtrip =
   QCheck.Test.make ~name:"codec string roundtrip" ~count:200
     QCheck.printable_string (fun s ->
@@ -692,6 +760,7 @@ let () =
           Alcotest.test_case "hostile lengths" `Quick test_codec_hostile_lengths;
           q qcheck_codec_int_roundtrip;
           q qcheck_codec_string_roundtrip;
+          q qcheck_codec_uint_bytewise;
         ] );
       ( "table",
         [
