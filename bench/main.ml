@@ -284,6 +284,19 @@ let run_micro () =
 
 (* -- entry point ------------------------------------------------------- *)
 
+let usage =
+  "usage: main.exe [quick|micro|obs|report [PATH]] [--jobs N] [--shards N]"
+
+(* The value of --jobs or --shards: an integer, raised to at least 1. A
+   value that is not an integer is a usage error. *)
+let count_arg flag value =
+  match int_of_string_opt value with
+  | Some n -> max 1 n
+  | None ->
+    Printf.eprintf "main.exe: %s expects an integer, got %S\n%s\n" flag value
+      usage;
+    exit 2
+
 let () =
   (* argv: [mode] [report-path] with --jobs N / --shards N anywhere
      after the exe *)
@@ -294,24 +307,22 @@ let () =
     if i < Array.length Sys.argv then begin
       (match Sys.argv.(i) with
       | "--jobs" when i + 1 < Array.length Sys.argv ->
-        jobs := max 1 (int_of_string Sys.argv.(i + 1));
+        jobs := count_arg "--jobs" Sys.argv.(i + 1);
         parse (i + 2)
       | "--shards" when i + 1 < Array.length Sys.argv ->
-        shards := max 1 (int_of_string Sys.argv.(i + 1));
+        shards := count_arg "--shards" Sys.argv.(i + 1);
         parse (i + 2)
       | arg ->
         (match String.index_opt arg '=' with
         | Some eq when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" ->
           jobs :=
-            max 1
-              (int_of_string
-                 (String.sub arg (eq + 1) (String.length arg - eq - 1)))
+            count_arg "--jobs"
+              (String.sub arg (eq + 1) (String.length arg - eq - 1))
         | Some eq
           when String.length arg > 9 && String.sub arg 0 9 = "--shards=" ->
           shards :=
-            max 1
-              (int_of_string
-                 (String.sub arg (eq + 1) (String.length arg - eq - 1)))
+            count_arg "--shards"
+              (String.sub arg (eq + 1) (String.length arg - eq - 1))
         | _ -> positional := arg :: !positional);
         parse (i + 1))
     end
