@@ -69,12 +69,34 @@ let checked ok msg arg =
         v)
     $ arg)
 
+(* The flags that set [Params] fields, by the field name that starts
+   a [Params] error. *)
+let param_flags =
+  [ ("tau", "--tau"); ("alpha", "--alpha");
+    ("u weight of network", "--u-net");
+    ("u weight of export-table", "--u-export") ]
+
 (* [Params] rejects an out-of-range value with [Invalid_argument];
-   from the command line that is a one-line error, exit 2. *)
+   from the command line that is a one-line error naming the flag,
+   exit 2. *)
 let checked_params make =
   match make () with
   | params -> params
-  | exception Invalid_argument msg -> or_die (Error msg)
+  | exception Invalid_argument msg ->
+    let msg =
+      match String.index_opt msg ':' with
+      | Some i -> String.trim (String.sub msg (i + 1) (String.length msg - i - 1))
+      | None -> msg
+    in
+    let named (field, _) = String.starts_with ~prefix:(field ^ " ") msg in
+    let msg =
+      match List.find_opt named param_flags with
+      | Some (field, flag) ->
+        flag ^ String.sub msg (String.length field)
+          (String.length msg - String.length field)
+      | None -> msg
+    in
+    or_die (Error msg)
 
 let make_params ~tau ~alpha ~u_net ~u_export =
   Mitos.Params.with_u

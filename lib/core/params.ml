@@ -11,6 +11,19 @@ type t = {
   mem_capacity : int;
 }
 
+(* The first weight that is not > 0, named by its tag type. *)
+let weight_error name w =
+  let rec find i =
+    if i >= Array.length w then None
+    else if not (w.(i) > 0.0) then
+      Some
+        (Printf.sprintf "%s weight of %s must be > 0 (got %g)" name
+           (Tag_type.to_string (Tag_type.of_int i))
+           w.(i))
+    else find (i + 1)
+  in
+  find 0
+
 let validate ~alpha ~beta ~tau ~tau_scale ~u ~o ~total_tag_space ~mem_capacity =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
   if not (alpha > 0.0) then fail "alpha must be > 0 (got %g)" alpha
@@ -19,11 +32,13 @@ let validate ~alpha ~beta ~tau ~tau_scale ~u ~o ~total_tag_space ~mem_capacity =
   else if not (tau_scale > 0.0) then fail "tau_scale must be > 0 (got %g)" tau_scale
   else if Array.length u <> Tag_type.count then fail "u has wrong arity"
   else if Array.length o <> Tag_type.count then fail "o has wrong arity"
-  else if Array.exists (fun x -> not (x > 0.0)) u then fail "u weights must be > 0"
-  else if Array.exists (fun x -> not (x > 0.0)) o then fail "o weights must be > 0"
-  else if total_tag_space < 1 then fail "total_tag_space must be >= 1"
-  else if mem_capacity < 1 then fail "mem_capacity must be >= 1"
-  else Ok ()
+  else
+    match (weight_error "u" u, weight_error "o" o) with
+    | Some msg, _ | None, Some msg -> Error msg
+    | None, None ->
+      if total_tag_space < 1 then fail "total_tag_space must be >= 1"
+      else if mem_capacity < 1 then fail "mem_capacity must be >= 1"
+      else Ok ()
 
 let weights_of_list l =
   let a = Array.make Tag_type.count 1.0 in

@@ -77,6 +77,9 @@ val validate :
   u:float array -> o:float array -> total_tag_space:int ->
   mem_capacity:int -> (unit, string) result
 (** Requires α > 0, β ≥ 1, τ ≥ 0, positive scale/space/capacity and
-    positive weights. *)
+    positive weights. An error starts with the field it refuses
+    ("tau must be >= 0 (got -1)", "u weight of network must be > 0
+    (got -1)"), so a caller can report it under its own name for that
+    field. *)
 
 val pp : Format.formatter -> t -> unit
