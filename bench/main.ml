@@ -346,8 +346,11 @@ let () =
     with_jobs (fun ~pool ->
         write_markdown ~pool
           (match rest with path :: _ -> path | [] -> "bench_report.md"))
-  | _ ->
+  | "all" ->
     with_jobs (fun ~pool -> run_experiments ~pool ());
     E.Report.print (E.Obs_overhead.run ());
-    run_micro ());
+    run_micro ()
+  | unknown ->
+    Printf.eprintf "main.exe: unknown mode %S\n%s\n" unknown usage;
+    exit 2);
   print_newline ()

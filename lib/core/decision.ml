@@ -131,11 +131,17 @@ let grow s tag =
   s.marginal <- bigger.marginal;
   s.order <- bigger.order
 
+(* [Cost.under_submarginal] written out: the same float operations,
+   stored unboxed instead of boxed on their way into and out of a call *)
 let add s p tag ~count =
   if s.n = Array.length s.tags then grow s tag;
   let i = s.n in
   s.tags.(i) <- tag;
-  s.under.(i) <- Cost.under_submarginal p tag.Tag.ty ~n:(float_of_int count);
+  let n = float_of_int count in
+  s.under.(i) <-
+    (if n <= 0.0 then neg_infinity
+     else
+       -.(p.Params.u.(Tag_type.to_int tag.Tag.ty) *. (n ** -.p.Params.alpha)));
   s.n <- i + 1
 
 let length s = s.n

@@ -118,6 +118,9 @@ val nth_tag : scratch -> int -> Tag.t
 val nth_under : scratch -> int -> float
 (** Its undertainting submarginal. *)
 
+val nth_marginal : scratch -> int -> float
+(** Its marginal at decision time, as {!ranked} reports it. *)
+
 val nth_propagated : scratch -> int -> bool
 (** Whether it was accepted. *)
 

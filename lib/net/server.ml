@@ -6,6 +6,7 @@ module Tracer = Mitos_obs.Tracer
 module Propagation = Mitos_obs.Propagation
 module Estimator = Mitos_distrib.Estimator
 module Netloop = Mitos_obs.Netloop
+module Clock = Mitos_util.Clock
 
 type config = {
   workers : int;
@@ -117,49 +118,160 @@ let rec atomic_add cell n =
   let seen = Atomic.get cell in
   if not (Atomic.compare_and_set cell seen (seen + n)) then atomic_add cell n
 
-(* -- request semantics -------------------------------------------------- *)
+(* -- the decide path ----------------------------------------------------- *)
+
+module Tag = Mitos_tag.Tag
+module Decision = Mitos.Decision
+
+(* A Decide payload read in place, one per loop domain: each batched
+   request's space, local pollution and first listing, each listing's
+   tag and count, and one Alg. 2 scratch. The arrays grow as elements
+   are read, never to a count the frame announces, so a hostile count
+   allocates nothing before its payload runs out. *)
+type batch = {
+  mutable spaces : int array;
+  mutable pollutions : float array;
+  mutable starts : int array;
+  mutable requests : int;
+  mutable tags : Tag.t array;
+  mutable counts : int array;
+  mutable order : int array;
+  mutable listings : int;
+  scratch : Decision.scratch;
+}
+
+let batch () =
+  {
+    spaces = [||];
+    pollutions = [||];
+    starts = [||];
+    requests = 0;
+    tags = [||];
+    counts = [||];
+    order = [||];
+    listings = 0;
+    scratch = Decision.scratch ();
+  }
+
+let batch_key = Domain.DLS.new_key batch
+
+(* A batch that one large frame grew past this many listings is
+   dropped after the frame rather than held by the domain. *)
+let kept_listings = 4096
+
+(* [a]'s first [len] elements, in an array with twice the room *)
+let grown a len fill =
+  let a' = Array.make (max 8 (2 * len)) fill in
+  Array.blit a 0 a' 0 len;
+  a'
+
+let on_request b ~space ~pollution =
+  let r = b.requests in
+  if r = Array.length b.spaces then begin
+    b.spaces <- grown b.spaces r 0;
+    b.pollutions <- grown b.pollutions r 0.0;
+    b.starts <- grown b.starts r 0
+  end;
+  b.spaces.(r) <- space;
+  b.pollutions.(r) <- pollution;
+  b.starts.(r) <- b.listings;
+  b.requests <- r + 1
+
+let on_listing b tag count =
+  let i = b.listings in
+  if i = Array.length b.tags then begin
+    b.tags <- grown b.tags i tag;
+    b.counts <- grown b.counts i 0;
+    b.order <- grown b.order i 0
+  end;
+  b.tags.(i) <- tag;
+  b.counts.(i) <- count;
+  b.listings <- i + 1
 
 (* A tag listed twice in a request counts as its first listing. The
-   listings are sorted by tag, where a stable sort keeps a tag's first
-   listing ahead of its later ones, and each of Alg. 2's lookups is a
-   binary search: O(n log n) for a batch of n candidates, whatever
-   tags a client chooses. *)
-let rec leftmost sorted tag lo hi =
-  if lo >= hi then lo
-  else
-    let mid = (lo + hi) lsr 1 in
-    if Mitos_tag.Tag.compare (fst sorted.(mid)) tag < 0 then
-      leftmost sorted tag (mid + 1) hi
-    else leftmost sorted tag lo mid
+   request's listings are ordered by (id, type, index) with an in-place
+   heapsort, so a tag's listings are adjacent with its first one
+   leading, and each later listing takes the leader's count: O(n log n)
+   for a request of n listings, whatever ids a client chooses. Any
+   order that keeps equal tags together would do; comparing ids first
+   settles most pairs with one integer compare. *)
+let before tags i j =
+  let a = Array.unsafe_get tags i and b = Array.unsafe_get tags j in
+  if a.Tag.id <> b.Tag.id then a.Tag.id < b.Tag.id
+  else if a.ty != b.ty then
+    Mitos_tag.Tag_type.to_int a.ty < Mitos_tag.Tag_type.to_int b.ty
+  else i < j
 
-let counts candidates =
-  let sorted = Array.of_list candidates in
-  Array.stable_sort (fun (a, _) (b, _) -> Mitos_tag.Tag.compare a b) sorted;
-  fun tag ->
-    let i = leftmost sorted tag 0 (Array.length sorted) in
-    if i < Array.length sorted && Mitos_tag.Tag.equal (fst sorted.(i)) tag
-    then snd sorted.(i)
-    else 0
+let rec sift_down tags order root n =
+  let child = (2 * root) + 1 in
+  if child < n then begin
+    let child =
+      if child + 1 < n && before tags order.(child) order.(child + 1) then
+        child + 1
+      else child
+    in
+    let r = order.(root) in
+    if before tags r order.(child) then begin
+      order.(root) <- order.(child);
+      order.(child) <- r;
+      sift_down tags order child n
+    end
+  end
 
-let decide_one t (req : Wire.decide_request) =
-  let env =
-    {
-      Mitos.Decision.count = counts req.candidates;
-      pollution = req.pollution +. Estimator.global t.est;
-    }
+let first_listing_counts b lo hi =
+  let tags = b.tags and order = b.order and counts = b.counts in
+  let n = hi - lo in
+  for k = 0 to n - 1 do
+    order.(k) <- lo + k
+  done;
+  for root = (n / 2) - 1 downto 0 do
+    sift_down tags order root n
+  done;
+  for last = n - 1 downto 1 do
+    let top = order.(0) in
+    order.(0) <- order.(last);
+    order.(last) <- top;
+    sift_down tags order 0 last
+  done;
+  for k = 1 to n - 1 do
+    let i = order.(k) and lead = order.(k - 1) in
+    if Tag.equal tags.(i) tags.(lead) then counts.(i) <- counts.(lead)
+  done
+
+(* Alg. 2 for the [r]-th request of the batch, in the batch's scratch.
+   The effective pollution is the request's local value plus the
+   estimator's global, read per request. *)
+let decide_request (t, b) r =
+  let lo = b.starts.(r) in
+  let hi = if r + 1 < b.requests then b.starts.(r + 1) else b.listings in
+  first_listing_counts b lo hi;
+  let s = b.scratch in
+  Decision.reset s;
+  for i = lo to hi - 1 do
+    Decision.add s t.params b.tags.(i) ~count:b.counts.(i)
+  done;
+  Decision.decide Decision.no_ctx t.params ~recompute:true
+    ~pollution:(b.pollutions.(r) +. Estimator.global t.est)
+    ~space:b.spaces.(r) s;
+  s
+
+let decide_batch t b ~id =
+  let reply =
+    Wire.encode_decisions_body ~id ~requests:b.requests decide_request (t, b)
   in
-  Mitos.Decision.alg2 t.params env ~space:req.space
-    (List.map fst req.candidates)
+  atomic_add t.decided b.requests;
+  Registry.add t.decisions_total b.requests;
+  reply
+
+(* -- request semantics -------------------------------------------------- *)
 
 let handle_request t (req : Wire.request) : Wire.response =
   match req with
   | Ping -> Pong
-  | Decide batch ->
-    let outcomes = List.map (decide_one t) batch in
-    let n = List.length batch in
-    atomic_add t.decided n;
-    Registry.add t.decisions_total n;
-    Decisions outcomes
+  | Decide _ ->
+    (* [Wire.decode_request_into] reads a Decide payload into the
+       domain's batch and never returns one *)
+    assert false
   | Publish { node; value } ->
     if node < 0 || node >= t.config.nodes then begin
       Registry.incr t.errors_total;
@@ -224,32 +336,51 @@ let record_span t ~trace ~ts0 ~ts1 op =
 let err_body err =
   Wire.encode_response_body ~id:0 (Err (Wire.error_to_string err))
 
+let internal_error t exn =
+  Registry.incr t.errors_total;
+  Wire.Err ("internal error: " ^ Printexc.to_string exn)
+
 let handle_body t body =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_ns () in
   let obs_ts0 = if Obs.enabled t.obs then Obs.now t.obs else 0 in
-  match Wire.decode_request body with
+  let b = Domain.DLS.get batch_key in
+  b.requests <- 0;
+  b.listings <- 0;
+  let decoded =
+    Wire.decode_request_into ~request:on_request ~candidate:on_listing b body
+  in
+  if Array.length b.tags > kept_listings then
+    Domain.DLS.set batch_key (batch ());
+  match decoded with
   | Error err ->
     Registry.incr t.errors_total;
     err_body err
   | Ok (id, trace, req) ->
     atomic_add t.served 1;
-    let resp =
-      match handle_request t req with
-      | resp -> resp
-      | exception exn ->
-        Registry.incr t.errors_total;
-        Wire.Err ("internal error: " ^ Printexc.to_string exn)
+    let op, reply =
+      match req with
+      | None ->
+        ( "decide",
+          match decide_batch t b ~id with
+          | reply -> reply
+          | exception exn ->
+            Wire.encode_response_body ~id (internal_error t exn) )
+      | Some req ->
+        ( Wire.request_kind req,
+          Wire.encode_response_body ~id
+            (match handle_request t req with
+            | resp -> resp
+            | exception exn -> internal_error t exn) )
     in
-    let op = Wire.request_kind req in
     (match List.assoc_opt op t.per_op with
     | Some m ->
       Registry.incr m.requests;
-      Histogram.observe m.latency ((Unix.gettimeofday () -. t0) *. 1e9)
+      Histogram.observe m.latency (float_of_int (Clock.now_ns () - t0))
     | None -> ());
     record_span t ~trace ~ts0:obs_ts0
       ~ts1:(if Obs.enabled t.obs then Obs.now t.obs else 0)
       op;
-    Wire.encode_response_body ~id resp
+    reply
 
 (* -- listeners ----------------------------------------------------------- *)
 

@@ -3,8 +3,13 @@
     Turns the Eq. (8) decisioning core into a service: clients send
     batched {!Wire.Decide} requests carrying candidate tag-sets and
     local counts; the server answers with per-candidate marginals and
-    verdicts computed by {!Mitos.Decision.alg2} under its own
-    parameters. The server also hosts a {!Mitos_distrib.Estimator} —
+    verdicts, those {!Mitos.Decision.alg2} gives under its own
+    parameters with a tag's count taken from its first listing. A
+    Decide frame goes from bytes to bytes: its payload is read into
+    per-domain arrays ({!Wire.decode_request_into}), each request is
+    decided in a reused {!Mitos.Decision.scratch}, and the reply is
+    written from that scratch ({!Wire.encode_decisions_body}), so no
+    request or outcome list is built. The server also hosts a {!Mitos_distrib.Estimator} —
     the paper's "globally available" pollution scalar (§IV-B) — which
     cluster nodes feed through {!Wire.Publish} and read back through
     {!Wire.Read_global}; a decide request's effective pollution is the
@@ -84,8 +89,8 @@ val handle_body : t -> string -> string
     response frame body out. Decode failures and out-of-range nodes
     become {!Wire.Err} responses (with the request's id when it could
     be parsed, 0 otherwise); this never raises. Safe to call from any
-    domain — the estimator serializes internally and counter updates
-    are atomic. *)
+    domain — the estimator serializes internally, counter updates are
+    atomic, and each domain decides in arrays of its own. *)
 
 (** {1 Listeners} *)
 

@@ -139,12 +139,16 @@ let dec_decide_request d =
   in
   { space; pollution; candidates }
 
+(* One candidate's outcome, the element of a Decisions entry *)
+let enc_outcome e tag marginal propagated =
+  enc_tag e tag;
+  Codec.Enc.float e marginal;
+  Codec.Enc.bool e propagated
+
 let rec enc_decided e = function
   | [] -> ()
   | (r : decided) :: rest ->
-    enc_tag e r.tag;
-    Codec.Enc.float e r.marginal;
-    Codec.Enc.bool e (r.verdict = Mitos.Decision.Propagate);
+    enc_outcome e r.tag r.marginal (r.verdict = Mitos.Decision.Propagate);
     enc_decided e rest
 
 let rec enc_decisions e = function
@@ -298,22 +302,65 @@ let decode_body which ~read_trace decode_payload s =
          { offset = Codec.Dec.pos d;
            msg = Printf.sprintf "%s: %s" which msg })
 
+(* Every request payload but Decide's. *)
+let dec_other d kind =
+  if kind = k_ping then Some Ping
+  else if kind = k_publish then
+    let node = Codec.Dec.uint d in
+    let value = Codec.Dec.float d in
+    Some (Publish { node; value })
+  else if kind = k_global then Some Read_global
+  else if kind = k_node then Some (Read_node (Codec.Dec.uint d))
+  else if kind = k_stats then Some Query_stats
+  else if kind = k_telemetry then Some Query_telemetry
+  else None
+
 let decode_request s =
   decode_body "request" ~read_trace:true
     (fun d kind ->
-      if kind = k_ping then Some Ping
-      else if kind = k_decide then
+      if kind = k_decide then
         Some (Decide (Codec.Dec.list d dec_decide_request))
-      else if kind = k_publish then
-        let node = Codec.Dec.uint d in
-        let value = Codec.Dec.float d in
-        Some (Publish { node; value })
-      else if kind = k_global then Some Read_global
-      else if kind = k_node then Some (Read_node (Codec.Dec.uint d))
-      else if kind = k_stats then Some Query_stats
-      else if kind = k_telemetry then Some Query_telemetry
-      else None)
+      else dec_other d kind)
     s
+
+(* The bytes [Codec.Dec.list d dec_decide_request] reads, in the same
+   order and with the same checks, so a malformed payload fails at the
+   same byte with the same message; nothing is sized from a count. *)
+let read_decide ~request ~candidate st d =
+  for _ = 1 to Codec.Dec.count d do
+    let space = Codec.Dec.uint d in
+    let pollution = Codec.Dec.float d in
+    request st ~space ~pollution;
+    for _ = 1 to Codec.Dec.count d do
+      let tag = dec_tag d in
+      candidate st tag (Codec.Dec.uint d)
+    done
+  done
+
+let decode_request_into ~request ~candidate st s =
+  decode_body "request" ~read_trace:true
+    (fun d kind ->
+      if kind = k_decide then begin
+        read_decide ~request ~candidate st d;
+        Some None
+      end
+      else Option.map Option.some (dec_other d kind))
+    s
+
+let encode_decisions_body ~id ~requests decide st =
+  body ~has_trace:false ~id k_decisions (fun e ->
+      Codec.Enc.uint e requests;
+      for r = 0 to requests - 1 do
+        let s = decide st r in
+        let n = Mitos.Decision.length s in
+        Codec.Enc.uint e n;
+        for k = 0 to n - 1 do
+          enc_outcome e
+            (Mitos.Decision.nth_tag s k)
+            (Mitos.Decision.nth_marginal s k)
+            (Mitos.Decision.nth_propagated s k)
+        done
+      done)
 
 let decode_response s =
   match

@@ -172,6 +172,41 @@ val decode_request :
 
 val decode_response : string -> (int * response, error) result
 
+(** {2 A Decide frame without the lists}
+
+    The decision server's path: the Decide payload is read into the
+    caller's state and the reply is written from Alg. 2 scratches, so
+    no {!decide_request} or {!decided} list is built. The bytes are
+    the ones {!decode_request} reads and {!encode_response_body}
+    writes. *)
+
+val decode_request_into :
+  request:('st -> space:int -> pollution:float -> unit) ->
+  candidate:('st -> Tag.t -> int -> unit) ->
+  'st ->
+  string ->
+  (int * Propagation.context option * request option, error) result
+(** {!decode_request}, except that a Decide payload is handed to the
+    callbacks as it is read, in wire order: [request] as each batched
+    request begins, [candidate] for each of its listings. Such a body
+    decodes to [None]; every other request to [Some]. A malformed body
+    gets {!decode_request}'s error, at the same offset, after the
+    callbacks have seen the elements read before it. *)
+
+val encode_decisions_body :
+  id:int ->
+  requests:int ->
+  ('st -> int -> Mitos.Decision.scratch) ->
+  'st ->
+  string
+(** [encode_decisions_body ~id ~requests decide st] is the body of a
+    [Decisions] reply to [requests] batched requests, whose [r]-th
+    entry is the outcome left in the scratch [decide st r] returns,
+    candidates in the order considered: the bytes
+    {!encode_response_body} writes for the same verdicts and
+    marginals. [decide] is called once per request, in order, and may
+    return the same scratch each time. *)
+
 val decode_request_frame :
   ?max_frame:int -> string ->
   (int * Propagation.context option * request, error) result

@@ -176,10 +176,12 @@ module Dec = struct
   let rec list_rev t f acc n =
     if n = 0 then List.rev acc else list_rev t f (f t :: acc) (n - 1)
 
-  let list t f =
+  let count t =
     let n = uint t in
     if n < 0 then raise (Malformed "negative list length");
-    list_rev t f [] n
+    n
+
+  let list t f = list_rev t f [] (count t)
 
   (* Every element takes at least a byte, so a count past the bytes left
      is refused before [Array.init] allocates for it. [list] needs no

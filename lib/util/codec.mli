@@ -49,6 +49,11 @@ module Dec : sig
       input. *)
 
   val option : t -> (t -> 'a) -> 'a option
+
+  val count : t -> int
+  (** A list's element count, as {!list} reads it: raises [Malformed]
+      on a negative one. For a caller that reads the elements itself. *)
+
   val list : t -> (t -> 'a) -> 'a list
   val array : t -> (t -> 'a) -> 'a array
   (** Raises [Malformed], before allocating, on a count larger than

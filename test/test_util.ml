@@ -714,6 +714,20 @@ let test_minijson_malformed () =
   bad "\"unterminated"; bad "{\"a\" 1}"; bad "[1 2]"; bad "+5"; bad "Na";
   bad "-In"
 
+(* -- Clock ----------------------------------------------------------- *)
+
+let test_clock_monotonic () =
+  let prev = ref (Clock.now_ns ()) and backwards = ref 0 in
+  for _ = 1 to 100_000 do
+    let now = Clock.now_ns () in
+    if now < !prev then incr backwards;
+    prev := now
+  done;
+  Alcotest.(check int) "reads that went backwards" 0 !backwards;
+  let words = Gc.minor_words () in
+  ignore (Clock.now_ns ());
+  check_float "a read allocates nothing" 0.0 (Gc.minor_words () -. words)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "mitos_util"
@@ -790,6 +804,8 @@ let () =
           q qcheck_timeseries_retention_newest;
           q qcheck_timeseries_times_sorted;
         ] );
+      ( "clock",
+        [ Alcotest.test_case "monotonic" `Quick test_clock_monotonic ] );
       ( "minijson",
         [
           Alcotest.test_case "values" `Quick test_minijson_values;
