@@ -42,9 +42,9 @@ let of_engine ?(wall_seconds = 0.0) engine =
   }
 
 let measure_run ?max_steps engine =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Mitos_util.Clock.now_ns () in
   ignore (Engine.run ?max_steps engine);
-  let wall_seconds = Unix.gettimeofday () -. t0 in
+  let wall_seconds = float_of_int (Mitos_util.Clock.now_ns () - t0) /. 1e9 in
   of_engine ~wall_seconds engine
 
 let propagation_rate s =

@@ -6,7 +6,7 @@ open Mitos_tag
 type summary = {
   policy : string;
   steps : int;
-  wall_seconds : float;  (** measured by {!measure_run} *)
+  wall_seconds : float;  (** measured by {!measure_run}, on the monotonic clock *)
   shadow_ops : int;  (** time-cost proxy (deterministic) *)
   footprint_bytes : int;  (** shadow-memory space (Table II "Space") *)
   tainted_bytes : int;

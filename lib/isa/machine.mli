@@ -108,15 +108,36 @@ val encode_record : Mitos_util.Codec.Enc.t -> exec_record -> unit
 (** Writes the MITRACE1 layout, which spells out every register
     number, presence flag and access width the instruction implies. *)
 
+val record_encoder : Program.t -> Mitos_util.Codec.Enc.t -> exec_record -> unit
+(** [record_encoder prog] writes records of a trace of [prog] as
+    {!encode_record} does, byte for byte. A record of the program's own
+    instruction (physically) with no syscall effects is written through
+    the plan of its pc that {!record_decoder} reads with: the template
+    bytes and the values between them. Apply it once per trace. *)
+
 val decode_record : Program.t -> Mitos_util.Codec.Dec.t -> exec_record
-(** [decode_record prog dec] reads one record of a trace of [prog]. An
-    instruction equal to [prog]'s own at the record's [pc] is returned
-    as that very value, so a decoded trace shares its program's
-    instructions instead of holding a copy per record: the encoded
-    fields are compared with it as they are read, and no instruction
-    is built unless they differ.
+(** [decode_record prog dec] reads one record of a trace of [prog]: the
+    definition of what a record's bytes mean. An instruction equal to
+    [prog]'s own at the record's [pc] is returned as that very value,
+    so a decoded trace shares its program's instructions instead of
+    holding a copy per record: the encoded fields are compared with it
+    as they are read, and no instruction is built unless they differ.
 
     Raises [Mitos_util.Codec.Malformed] on a record whose register
     numbers, presence flags or access widths disagree with its own
     instruction (a load with no memory read, a branch with no
     outcome, ...): no consumer has to handle such a record. *)
+
+val record_decoder : Program.t -> Mitos_util.Codec.Dec.t -> exec_record
+(** [record_decoder prog] reads records of a trace of [prog] as
+    {!decode_record} does: the same record, with the program's own
+    instruction, or the same [Malformed] at the same [Dec.pos]. It
+    keeps a plan per pc, built on the pc's first record from the one
+    layout both codecs use: the bytes the program's instruction fixes,
+    compared up to seven at a time, and the values between them. A
+    record the plan does not expect (a syscall's effects, a pc outside
+    the program, another instruction, a long varint or a non-canonical
+    fixed field, one near the end of the input) is read by
+    {!decode_record} from its start. Apply it once per trace: the
+    plans take O(program) words, and a record read through them
+    allocates only itself. *)

@@ -20,7 +20,9 @@ type t = {
   mutable locked_at : int;
 }
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+(* monotonic: a wait or hold cannot read negative when the wall clock
+   steps *)
+let now_ns = Mitos_util.Clock.now_ns
 
 let atomic_max a v =
   let rec go () =

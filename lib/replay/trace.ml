@@ -35,7 +35,7 @@ let to_string t =
       Codec.Enc.string enc k;
       Codec.Enc.string enc v)
     t.meta;
-  Codec.Enc.array enc (Machine.encode_record enc) t.records;
+  Codec.Enc.array enc (Machine.record_encoder t.program enc) t.records;
   Codec.Enc.contents enc
 
 let of_string s =
@@ -50,7 +50,7 @@ let of_string s =
         let v = Codec.Dec.string dec in
         (k, v))
   in
-  let records = Codec.Dec.array dec (Machine.decode_record program) in
+  let records = Codec.Dec.array dec (Machine.record_decoder program) in
   Codec.Dec.expect_end dec;
   { program; mem_size; records; meta }
 

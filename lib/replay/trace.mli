@@ -29,10 +29,14 @@ val add_meta : t -> string -> string -> t
 val iter : t -> (Mitos_isa.Machine.exec_record -> unit) -> unit
 
 val to_string : t -> string
-(** Compact binary serialization. *)
+(** Compact binary serialization: MITRACE1, with records written
+    through {!Mitos_isa.Machine.record_encoder}. *)
 
 val of_string : string -> t
-(** Raises [Mitos_util.Codec.Malformed] on corrupt input. *)
+(** Reads records through {!Mitos_isa.Machine.record_decoder}, so each
+    holds its program's own instruction. Raises
+    [Mitos_util.Codec.Malformed] on corrupt input, with the message
+    {!Mitos_isa.Machine.decode_record} gives. *)
 
 val save : t -> string -> unit
 (** Write to a file path. *)

@@ -55,6 +55,12 @@ module Enc = struct
     Bytes.unsafe_set t.buf t.len (if b then '\001' else '\000');
     t.len <- t.len + 1
 
+  let bytes_le t n v =
+    if n < 0 || n > 7 then invalid_arg "Codec.Enc.bytes_le";
+    reserve t 8;
+    Bytes.set_int64_le t.buf t.len (Int64.of_int v);
+    t.len <- t.len + n
+
   let float t f =
     reserve t 8;
     Bytes.set_int64_le t.buf t.len (Int64.bits_of_float f);
@@ -83,6 +89,7 @@ module Enc = struct
 
   let contents t = Bytes.sub_string t.buf 0 t.len
   let length t = t.len
+  let reset t = t.len <- 0
 end
 
 module Dec = struct
@@ -194,6 +201,12 @@ module Dec = struct
     Array.init n (fun _ -> f t)
 
   let pos t = t.pos
+  let input t = t.data
+
+  let seek t pos =
+    if pos < 0 || pos > String.length t.data then invalid_arg "Codec.Dec.seek";
+    t.pos <- pos
+
   let at_end t = t.pos >= String.length t.data
 
   let expect_end t =

@@ -22,6 +22,12 @@ module Enc : sig
   (** Zigzag-encoded signed varint. *)
 
   val bool : t -> bool -> unit
+
+  val bytes_le : t -> int -> int -> unit
+  (** [bytes_le t n v] writes the [n] low bytes of [v], least
+      significant first, for [n] from 0 to 7: bytes a caller packed into
+      an int. Raises [Invalid_argument] for any other [n]. *)
+
   val float : t -> float -> unit
   val string : t -> string -> unit
   val option : t -> ('a -> unit) -> 'a option -> unit
@@ -31,6 +37,9 @@ module Enc : sig
   val array : t -> ('a -> unit) -> 'a array -> unit
   val contents : t -> string
   val length : t -> int
+
+  val reset : t -> unit
+  (** Forget what was written, keeping the buffer for the next writes. *)
 end
 
 (** Decoder: consumes a string left to right. *)
@@ -62,6 +71,15 @@ module Dec : sig
   val pos : t -> int
   (** Current read offset in bytes — where decoding stands (or where
       it failed, when reading raised [Malformed]). *)
+
+  val input : t -> string
+  (** The whole string being decoded, for a reader that scans bytes
+      itself and then {!seek}s past them. *)
+
+  val seek : t -> int -> unit
+  (** [seek t pos] moves the read offset to [pos], from [0] to the
+      input's length inclusive. Raises [Invalid_argument] outside
+      that range. *)
 
   val at_end : t -> bool
   val expect_end : t -> unit

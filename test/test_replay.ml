@@ -125,6 +125,361 @@ let test_trace_inconsistent_records () =
        (raw_trace prog ~pc:2 ~reads:[ (1, 8); (1, 8) ] ~write:None ~mem_read:None
           ~mem_write:None ~taken:None ~next_pc:3))
 
+(* -- the record codec against its reference -------------------------------- *)
+
+module Codec = Mitos_util.Codec
+module Machine = Mitos_isa.Machine
+module Program = Mitos_isa.Program
+
+(* What [Trace.of_string] must give: every record read by
+   [Machine.decode_record], the definition of the format, through the
+   [Codec.Dec.array] and [expect_end] that frame them. *)
+let reference_decode s =
+  let dec = Codec.Dec.of_string s in
+  if Codec.Dec.string dec <> "MITRACE1" then raise (Codec.Malformed "bad trace magic");
+  let program = Program.decode dec in
+  ignore (Codec.Dec.uint dec);
+  ignore
+    (Codec.Dec.list dec (fun dec ->
+         let k = Codec.Dec.string dec in
+         (k, Codec.Dec.string dec)));
+  let records = Codec.Dec.array dec (Machine.decode_record program) in
+  Codec.Dec.expect_end dec;
+  (program, records)
+
+(* A record holds the program's own instruction iff it matched it. *)
+let owns program (r : Machine.exec_record) =
+  r.pc >= 0 && r.pc < Program.length program && r.instr == Program.instr program r.pc
+
+(* [None] when [Trace.of_string] reads [s] as the reference does: the
+   same records, sharing the program's instructions alike, or the same
+   exception; otherwise what differs. *)
+let decode_mismatch s =
+  let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e) in
+  match
+    ( outcome (fun () -> reference_decode s),
+      outcome (fun () ->
+          let t = Trace.of_string s in
+          (Trace.program t, Trace.records t)) )
+  with
+  | Error a, Error b when a = b -> None
+  | Ok (pa, ra), Ok (pb, rb) when ra = rb ->
+    let n = Array.length ra in
+    let rec first i =
+      if i = n then None
+      else if owns pa ra.(i) <> owns pb rb.(i) then
+        Some (Printf.sprintf "record %d shares its instruction on one side only" i)
+      else first (i + 1)
+    in
+    first 0
+  | Error a, Error b -> Some (Printf.sprintf "reference %S, decode %S" a b)
+  | Error a, Ok _ -> Some ("only the reference raised " ^ a)
+  | Ok _, Error b -> Some ("only the decode raised " ^ b)
+  | Ok _, Ok _ -> Some "different records"
+
+let check_same_decode what s =
+  match decode_mismatch s with None -> () | Some d -> Alcotest.failf "%s: %s" what d
+
+module G = QCheck.Gen
+
+(* Instructions of a [len]-instruction program, immediates up to the
+   magnitudes [Codec.Enc.int] does not round-trip. *)
+let gen_instr len =
+  let module I = Mitos_isa.Instr in
+  let reg = G.int_bound 15 in
+  let imm =
+    G.frequency
+      [
+        (6, G.int_range (-300) 300);
+        (2, G.int_range (-(1 lsl 40)) (1 lsl 40));
+        (1, G.oneofl [ min_int; max_int; 1 lsl 61; -(1 lsl 61); (1 lsl 61) - 1 ]);
+      ]
+  in
+  let target = G.int_bound (len - 1) in
+  let binop = G.oneofl I.[ Add; Sub; Mul; Divu; Rem; And; Or; Xor; Shl; Shr ] in
+  let width = G.oneofl I.[ W8; W32 ] in
+  let cond = G.oneofl I.[ Eq; Ne; Lt; Ge; Ltu; Geu ] in
+  G.oneof
+    [
+      G.map2 (fun rd i -> I.Li (rd, i)) reg imm;
+      G.map2 (fun rd rs -> I.Mov (rd, rs)) reg reg;
+      G.map4 (fun op rd a b -> I.Bin (op, rd, a, b)) binop reg reg reg;
+      G.map4 (fun op rd rs i -> I.Bini (op, rd, rs, i)) binop reg reg imm;
+      G.map4 (fun w rd rb off -> I.Load (w, rd, rb, off)) width reg reg imm;
+      G.map4 (fun w rs rb off -> I.Store (w, rs, rb, off)) width reg reg imm;
+      G.map4 (fun c a b t -> I.Branch (c, a, b, t)) cond reg reg target;
+      G.map (fun t -> I.Jmp t) target;
+      G.map (fun rs -> I.Jr rs) reg;
+      G.map (fun n -> I.Syscall n) (G.int_bound 20);
+      G.return I.Nop;
+      G.return I.Halt;
+    ]
+
+(* Values from one byte to longer than the plans' varint reader takes. *)
+let gen_value =
+  G.frequency
+    [
+      (6, G.int_bound 127);
+      (3, G.int_bound (1 lsl 32));
+      (1, G.map (fun x -> x land max_int) G.int);
+    ]
+
+let gen_effect =
+  G.oneof
+    [
+      G.map3 (fun addr len source -> Machine.Sys_wrote_mem { addr; len; source })
+        gen_value gen_value G.int;
+      G.map3 (fun addr len sink -> Machine.Sys_read_mem { addr; len; sink })
+        gen_value gen_value G.int;
+      G.map3 (fun addr len key -> Machine.Sys_snapshot_mem { addr; len; key })
+        gen_value gen_value G.int;
+      G.map (fun reg -> Machine.Sys_set_reg { reg }) (G.int_bound 15);
+      G.return Machine.Sys_halt;
+    ]
+
+(* Mostly the program's own instruction at its pc; also another
+   instruction, a pc outside the program, and syscalls with effects. *)
+let gen_record program =
+  let len = Program.length program in
+  let open G in
+  let* pc, instr =
+    frequency
+      [
+        (8, map (fun pc -> (pc, Program.instr program pc)) (int_bound (len - 1)));
+        (1, pair (int_bound (len - 1)) (gen_instr len));
+        (1, pair (int_range len (len + 300)) (gen_instr len));
+      ]
+  in
+  let* effects =
+    match instr with
+    | Mitos_isa.Instr.Syscall _ -> list_size (int_bound 3) gen_effect
+    | _ -> frequency [ (9, return []); (1, list_size (int_range 1 2) gen_effect) ]
+  in
+  let* step = gen_value and* read0 = gen_value and* read1 = gen_value in
+  let* read2 = gen_value and* written = gen_value and* mem_addr = gen_value in
+  let* taken = bool and* next_pc = gen_value in
+  return
+    {
+      Machine.step; pc; instr; read0; read1; read2; written; mem_addr; taken;
+      next_pc; sys_effects = effects;
+    }
+
+let gen_trace =
+  let open G in
+  let* len = int_range 1 12 in
+  let* code = array_size (return len) (gen_instr len) in
+  let program = Program.make code in
+  let* records = array_size (int_bound 40) (gen_record program) in
+  return (Trace.make ~program ~mem_size:4096 records)
+
+let gen_trace_bytes = G.map Trace.to_string gen_trace
+
+(* A byte flipped, a varint's last byte padded to a non-canonical
+   encoding of the same value (0x05 becomes 0x85 0x00), or a cut. *)
+type mutation = Flip of int * int | Pad of int | Cut of int
+
+let mutate s m =
+  let n = String.length s in
+  if n = 0 then s
+  else
+    match m with
+    | Flip (at, mask) ->
+      let b = Bytes.of_string s in
+      let at = at mod n in
+      Bytes.set b at (Char.chr (Char.code s.[at] lxor mask));
+      Bytes.to_string b
+    | Pad at ->
+      let at = at mod n in
+      let c = Char.code s.[at] in
+      if c >= 0x80 then s
+      else
+        String.concat ""
+          [ String.sub s 0 at; String.make 1 (Char.chr (c lor 0x80)); "\000";
+            String.sub s (at + 1) (n - at - 1) ]
+    | Cut len -> String.sub s 0 (len mod (n + 1))
+
+let gen_mutation =
+  G.frequency
+    [
+      (* small masks turn a bool byte into 2 or 3 *)
+      (2, G.map2 (fun at mask -> Flip (at, mask)) G.nat (G.int_range 1 3));
+      (2, G.map2 (fun at mask -> Flip (at, mask)) G.nat (G.int_range 1 255));
+      (3, G.map (fun at -> Pad at) G.nat);
+      (1, G.map (fun len -> Cut len) G.nat);
+    ]
+
+let arb_mutated base =
+  QCheck.make
+    ~print:(fun s -> Printf.sprintf "%d bytes: %S" (String.length s) s)
+    G.(
+      let* s = base in
+      let* ms = list_size (int_bound 4) gen_mutation in
+      return (List.fold_left mutate s ms))
+
+let qcheck_synthesized_traces =
+  QCheck.Test.make ~name:"synthesized traces decode as the reference" ~count:1500
+    (arb_mutated gen_trace_bytes) (fun s ->
+      match decode_mismatch s with
+      | None -> true
+      | Some d -> QCheck.Test.fail_report d)
+
+(* What [Trace.to_string] must write: every record by
+   [Machine.encode_record]. *)
+let reference_encode t =
+  let module E = Codec.Enc in
+  let enc = E.create () in
+  E.string enc "MITRACE1";
+  Program.encode enc (Trace.program t);
+  E.uint enc (Trace.mem_size t);
+  E.list enc
+    (fun (k, v) ->
+      E.string enc k;
+      E.string enc v)
+    (Trace.meta t);
+  E.array enc (Machine.encode_record enc) (Trace.records t);
+  E.contents enc
+
+let qcheck_synthesized_encode =
+  QCheck.Test.make ~name:"synthesized traces encode as the reference" ~count:500
+    (QCheck.make gen_trace) (fun t -> Trace.to_string t = reference_encode t)
+
+let small_trace_bytes = lazy (Trace.to_string (record_small 3))
+
+let qcheck_recorded_trace =
+  QCheck.Test.make ~name:"a recorded trace, mutated, decodes as the reference"
+    ~count:150
+    (arb_mutated (G.return (Lazy.force small_trace_bytes)))
+    (fun s ->
+      match decode_mismatch s with
+      | None -> true
+      | Some d -> QCheck.Test.fail_report d)
+
+let test_recorded_traces_match_reference () =
+  check_same_decode "lookup-table" (Lazy.force small_trace_bytes);
+  let recorded = W.Workload.record (W.Netbench.build ~seed:1 ~chunks:2 ()) in
+  let netbench = Trace.to_string recorded in
+  Alcotest.(check bool) "netbench encodes as the reference" true
+    (netbench = reference_encode recorded);
+  check_same_decode "netbench" netbench;
+  (* the records' own bytes with nothing after them but [expect_end] *)
+  check_same_decode "netbench, one byte more" (netbench ^ "\000")
+
+(* Every cut of a synthesized trace of a few hundred bytes, and every
+   byte of it flipped by a few masks: a record cut anywhere, records
+   within the plans' margin of the end, bool bytes of 2 and 3, and
+   varints made longer. The trace has branch records for its plans to
+   read. *)
+let test_every_truncation_and_flip () =
+  let rand = Random.State.make [| 31 |] in
+  let branches s =
+    let program, records = reference_decode s in
+    Array.to_list records
+    |> List.filter (fun (r : Machine.exec_record) ->
+           owns program r && Mitos_isa.Instr.is_branch r.instr)
+    |> List.length
+  in
+  let rec sized () =
+    let s = G.generate1 ~rand gen_trace_bytes in
+    if String.length s >= 300 && branches s >= 3 then s else sized ()
+  in
+  let s = sized () in
+  for len = 0 to String.length s do
+    check_same_decode (Printf.sprintf "first %d bytes" len) (String.sub s 0 len)
+  done;
+  (* records of the program's own instructions, with values of several
+     bytes and no syscall, cut anywhere: the plans read up to the end *)
+  let module I = Mitos_isa.Instr in
+  let program =
+    Program.make
+      [| I.Bin (I.Add, 1, 2, 3); I.Load (I.W32, 4, 5, 8); I.Branch (I.Ltu, 1, 4, 0);
+         I.Store (I.W8, 4, 5, -3) |]
+  in
+  let records =
+    Array.init 16 (fun step ->
+        let v = 1000 + (step * 70_001) in
+        { Machine.step; pc = step mod 4; instr = Program.instr program (step mod 4);
+          read0 = v; read1 = v + 1; read2 = 0; written = v + 2; mem_addr = v + 3;
+          taken = step mod 2 = 0; next_pc = (step + 1) mod 4; sys_effects = [] })
+  in
+  let own = Trace.to_string (Trace.make ~program ~mem_size:4096 records) in
+  for len = 0 to String.length own do
+    check_same_decode (Printf.sprintf "first %d bytes of own records" len)
+      (String.sub own 0 len)
+  done;
+  for at = 0 to String.length s - 1 do
+    List.iter
+      (fun m ->
+        let s' = mutate s m in
+        if s' <> s then
+          check_same_decode (Printf.sprintf "byte %d mutated" at) s')
+      [ Flip (at, 1); Flip (at, 2); Flip (at, 3); Flip (at, 0x80); Pad at ]
+  done
+
+(* Nine varint bytes that decode to -1 as a uint and to [min_int] as a
+   zigzag int: bytes a hostile program can hold, and [Codec.Enc] never
+   writes. *)
+let all_ones = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f"
+
+(* A trace whose program is [Li (1, min_int); Mov (-1, 2); Halt], as
+   the bytes [all_ones] give it, and [records]' bytes. *)
+let hostile_program_trace records =
+  let module E = Codec.Enc in
+  let module I = Mitos_isa.Instr in
+  let enc = E.create () in
+  E.string enc "MITRACE1";
+  E.uint enc 3;
+  E.uint enc 0 (* li *);
+  E.uint enc 1;
+  let li = E.contents enc ^ all_ones in
+  let enc = E.create () in
+  E.uint enc 1 (* mov *);
+  let mov = E.contents enc ^ all_ones ^ "\002" in
+  let enc = E.create () in
+  I.encode enc I.Halt;
+  E.list enc ignore [];
+  E.uint enc 4096;
+  E.list enc ignore [];
+  E.uint enc (List.length records);
+  li ^ mov ^ E.contents enc ^ String.concat "" records
+
+(* The program's [Li] immediate is [min_int]: records carry
+   [Codec.Enc.int]'s bytes for it, which read back as another
+   immediate, so each holds a fresh instruction. Its [Mov] writes
+   register -1, which [Codec.Enc.uint] refuses, so that pc gets no plan;
+   its records, which say there is no register write, still decode. *)
+let test_fields_not_written_back () =
+  let module E = Codec.Enc in
+  let module I = Mitos_isa.Instr in
+  let li step =
+    let enc = E.create () in
+    Machine.encode_record enc
+      { Machine.step; pc = 0; instr = I.Li (1, min_int); read0 = 0; read1 = 0;
+        read2 = 0; written = step; mem_addr = 0; taken = false; next_pc = 1;
+        sys_effects = [] };
+    E.contents enc
+  in
+  let mov step =
+    let enc = E.create () in
+    List.iter (E.uint enc) [ step; 1; 1 ];
+    let head = E.contents enc in
+    let enc = E.create () in
+    (* one read of r2, no register write, no memory, no branch *)
+    List.iter (E.uint enc) [ 2; 1; 2; 300 + step; 0; 0; 0; 0; 2; 0 ];
+    head ^ all_ones ^ E.contents enc
+  in
+  let s = hostile_program_trace (List.concat (List.init 6 (fun i -> [ li i; mov i ]))) in
+  check_same_decode "fields the encoder does not write back" s;
+  let trace = Trace.of_string s in
+  let program = Trace.program trace in
+  Alcotest.(check bool) "the program holds min_int" true
+    (Program.instr program 0 = I.Li (1, min_int));
+  Alcotest.(check bool) "and register -1" true (Program.instr program 1 = I.Mov (-1, 2));
+  Alcotest.(check int) "every record decodes" 12 (Trace.length trace);
+  Array.iter
+    (fun (r : Machine.exec_record) ->
+      Alcotest.(check bool) "a fresh li, the program's own mov" (r.pc = 1) (owns program r))
+    (Trace.records trace)
+
 let test_trace_file_io () =
   let trace = record_small 3 in
   let path = Filename.temp_file "mitos" ".trace" in
@@ -473,12 +828,15 @@ let minor_words f =
   Gc.minor_words () -. before
 
 (* The replay hot path under mitos-all-flows, where every direct flow
-   also runs Alg. 2. Measured at 12.1 words per record to decode (the
-   record itself) and 24.1 to walk, on OCaml 5.1 with the dev profile;
-   before the decision scratch and the matching decode, 16.6 and 80.4,
-   and 25.7 to walk while [Decision.add] boxed its submarginal.
-   The bounds leave room for a compiler's rounding, not for a
-   per-decision allocation to come back. *)
+   also runs Alg. 2. Measured at 12.13 words per record to decode (the
+   12-word record, and the decode plans: 63 pcs for 7,952 records) and
+   24.1 to walk, on OCaml 5.1 with the dev profile; before the decision
+   scratch and the matching decode, 16.6 and 80.4, and 25.7 to walk
+   while [Decision.add] boxed its submarginal. A record read by
+   [Machine.decode_record] instead of its plan allocates some 22 words,
+   so the decode bound also fails when the plans stop being used. The
+   bounds leave room for a compiler's rounding, not for a per-decision
+   allocation to come back. *)
 let test_replay_allocation () =
   let built = W.Netbench.build ~seed:1 ~chunks:2 () in
   let bytes = Trace.to_string (W.Workload.record built) in
@@ -499,7 +857,7 @@ let test_replay_allocation () =
       Alcotest.failf "%s: %.2f minor words per record, bound %.1f" what
         (words /. n) bound
   in
-  within "decode" 13.0 decode;
+  within "decode" 12.2 decode;
   within "walk" 25.0 walk
 
 (* An empty batch outside an instrumented engine decides nothing and
@@ -559,6 +917,18 @@ let () =
           Alcotest.test_case "inconsistent records" `Quick
             test_trace_inconsistent_records;
           Alcotest.test_case "file io" `Quick test_trace_file_io;
+        ] );
+      ( "codec",
+        [
+          Alcotest.test_case "recorded traces match the reference" `Quick
+            test_recorded_traces_match_reference;
+          Alcotest.test_case "every truncation and flip" `Quick
+            test_every_truncation_and_flip;
+          Alcotest.test_case "fields not written back" `Quick
+            test_fields_not_written_back;
+          QCheck_alcotest.to_alcotest qcheck_synthesized_traces;
+          QCheck_alcotest.to_alcotest qcheck_synthesized_encode;
+          QCheck_alcotest.to_alcotest qcheck_recorded_trace;
         ] );
       ( "recorder",
         [

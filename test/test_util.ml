@@ -267,6 +267,44 @@ let test_codec_malformed () =
   Alcotest.(check bool) "trailing bytes raise" true
     (try Codec.Dec.expect_end dec; false with Codec.Malformed _ -> true)
 
+(* [seek] moves a decoder anywhere from the start to the end of its
+   input, inclusive, and refuses any other offset without moving it;
+   [reset] empties an encoder for reuse, and [bytes_le] writes packed
+   bytes. *)
+let test_codec_seek_and_reset () =
+  let dec = Codec.Dec.of_string "\x01\xac\x02\x03" in
+  Alcotest.(check string) "input" "\x01\xac\x02\x03" (Codec.Dec.input dec);
+  Codec.Dec.seek dec 1;
+  Alcotest.(check int) "read after a seek" 300 (Codec.Dec.uint dec);
+  Codec.Dec.seek dec 0;
+  Alcotest.(check int) "back to the start" 1 (Codec.Dec.uint dec);
+  Codec.Dec.seek dec 4;
+  Alcotest.(check bool) "the end is a place" true (Codec.Dec.at_end dec);
+  List.iter
+    (fun pos ->
+      Codec.Dec.seek dec 3;
+      Alcotest.check_raises (Printf.sprintf "seek %d" pos)
+        (Invalid_argument "Codec.Dec.seek") (fun () -> Codec.Dec.seek dec pos);
+      Alcotest.(check int) (Printf.sprintf "unmoved by seek %d" pos) 3
+        (Codec.Dec.pos dec))
+    [ -1; 5; max_int; min_int ];
+  let enc = Codec.Enc.create ~initial_size:1 () in
+  Codec.Enc.string enc "some bytes";
+  Codec.Enc.reset enc;
+  Alcotest.(check int) "empty after reset" 0 (Codec.Enc.length enc);
+  Codec.Enc.uint enc 300;
+  Alcotest.(check string) "written after reset" "\xac\x02" (Codec.Enc.contents enc);
+  Codec.Enc.bytes_le enc 3 0x7F0201;
+  Codec.Enc.bytes_le enc 0 0xFF;
+  Codec.Enc.bytes_le enc 7 0x07060504030201;
+  Alcotest.(check string) "low bytes, least significant first"
+    "\xac\x02\x01\x02\x7f\x01\x02\x03\x04\x05\x06\x07" (Codec.Enc.contents enc);
+  List.iter
+    (fun n ->
+      Alcotest.check_raises (Printf.sprintf "%d bytes" n)
+        (Invalid_argument "Codec.Enc.bytes_le") (fun () -> Codec.Enc.bytes_le enc n 0))
+    [ -1; 8 ]
+
 (* Where decoding stands after a varint read, or after it raised. *)
 let uint_outcome s =
   let dec = Codec.Dec.of_string s in
@@ -772,6 +810,7 @@ let () =
           Alcotest.test_case "malformed" `Quick test_codec_malformed;
           Alcotest.test_case "varint edges" `Quick test_codec_varint_edges;
           Alcotest.test_case "hostile lengths" `Quick test_codec_hostile_lengths;
+          Alcotest.test_case "seek, reset and packed bytes" `Quick test_codec_seek_and_reset;
           q qcheck_codec_int_roundtrip;
           q qcheck_codec_string_roundtrip;
           q qcheck_codec_uint_bytewise;
