@@ -20,7 +20,10 @@
 
     Eq. (8) has this one body: every decision caller evaluates it
     through {!Decision}, as {!under_submarginal} plus
-    [{!over_factor} *. o_t], with no precomputed tables. *)
+    [{!over_factor} *. o_t]. {!Decision} reads {!under_submarginal}'s
+    [n ** -.alpha] from the table in {!Params.t}, filled by that same
+    expression, and {!over_factor} skips its pow at β = 2; both keep
+    the bits of the written-out formula. *)
 
 open Mitos_tag
 
@@ -66,4 +69,6 @@ val over_factor : Params.t -> float -> float
 (** [over_factor p P] is [g(P) = tau_eff · β · (max 0 P/N_R)^(β-1)],
     the part of {!over_submarginal} that depends on the pollution:
     [over_factor p P *. o_t] equals [over_submarginal p t ~pollution:P]
-    bit for bit. *)
+    bit for bit. The constant [tau *. tau_scale *. beta] is
+    [p.over_scale]; at β = 2 the exponent is 1 and no pow is taken,
+    since [pow x 1.0] is [x]. *)

@@ -131,17 +131,23 @@ let grow s tag =
   s.marginal <- bigger.marginal;
   s.order <- bigger.order
 
-(* [Cost.under_submarginal] written out: the same float operations,
-   stored unboxed instead of boxed on their way into and out of a call *)
+(* [Cost.under_submarginal] written out, stored unboxed instead of
+   boxed on its way into and out of a call. [n ** -.alpha] is read
+   from the table [Params] filled with that same expression, so the
+   bits are the same; counts past the table pay the pow. *)
 let add s p tag ~count =
   if s.n = Array.length s.tags then grow s tag;
   let i = s.n in
   s.tags.(i) <- tag;
-  let n = float_of_int count in
   s.under.(i) <-
-    (if n <= 0.0 then neg_infinity
+    (if count <= 0 then neg_infinity
      else
-       -.(p.Params.u.(Tag_type.to_int tag.Tag.ty) *. (n ** -.p.Params.alpha)));
+       let table = p.Params.pow_neg_alpha in
+       let pow =
+         if count < Array.length table then Array.unsafe_get table count
+         else float_of_int count ** -.p.Params.alpha
+       in
+       -.(p.Params.u.(Tag_type.to_int tag.Tag.ty) *. pow));
   s.n <- i + 1
 
 let length s = s.n

@@ -9,7 +9,19 @@ type t = {
   o : float array;
   total_tag_space : int;
   mem_capacity : int;
+  pow_neg_alpha : float array;
+  over_scale : float;
 }
+
+(* [n ** -.alpha] for every count [n] the table covers, by the
+   expression [Cost.under_submarginal] evaluates *)
+let pow_table_size = 1024
+
+let pow_table alpha =
+  Array.init pow_table_size (fun n -> float_of_int n ** -.alpha)
+
+(* g(P)'s constant factor, multiplied in [Cost.over_factor]'s order *)
+let over_scale ~tau ~tau_scale ~beta = tau *. tau_scale *. beta
 
 (* The first weight that is not > 0, named by its tag type. *)
 let weight_error name w =
@@ -51,7 +63,10 @@ let make ?(alpha = 1.5) ?(beta = 2.0) ?(tau = 1.0) ?(tau_scale = 1e4) ?(u = [])
   match
     validate ~alpha ~beta ~tau ~tau_scale ~u ~o ~total_tag_space ~mem_capacity
   with
-  | Ok () -> { alpha; beta; tau; tau_scale; u; o; total_tag_space; mem_capacity }
+  | Ok () ->
+    { alpha; beta; tau; tau_scale; u; o; total_tag_space; mem_capacity;
+      pow_neg_alpha = pow_table alpha;
+      over_scale = over_scale ~tau ~tau_scale ~beta }
   | Error msg -> invalid_arg ("Params.make: " ^ msg)
 
 let default ~total_tag_space ~mem_capacity =
@@ -70,7 +85,12 @@ let rebuild t ~alpha ~beta ~tau ~tau_scale ~u ~o =
     validate ~alpha ~beta ~tau ~tau_scale ~u ~o
       ~total_tag_space:t.total_tag_space ~mem_capacity:t.mem_capacity
   with
-  | Ok () -> { t with alpha; beta; tau; tau_scale; u; o }
+  | Ok () ->
+    let pow_neg_alpha =
+      if Float.equal alpha t.alpha then t.pow_neg_alpha else pow_table alpha
+    in
+    { t with alpha; beta; tau; tau_scale; u; o; pow_neg_alpha;
+      over_scale = over_scale ~tau ~tau_scale ~beta }
   | Error msg -> invalid_arg ("Params: " ^ msg)
 
 let with_alpha t alpha =

@@ -22,9 +22,27 @@
     The paper's defaults (§V): α = 1.5, β = 2, τ = 1, u_t = o_t = 1.
 
     The [with_*] setters return a new [t] and leave the old one as it
-    was. Nothing is derived from a [t] ahead of a decision, so a
-    caller that moves τ (the adaptive controller) just decides under
-    the new value. *)
+    was, so a caller that moves τ (the adaptive controller) just
+    decides under the new value.
+
+    {b Eq. (8) constants.} A [t] also carries the two parts of
+    Eq. (8) that depend on the parameters alone, so that an Alg. 2
+    candidate costs a table read instead of a libm [pow]:
+
+    - [pow_neg_alpha.(n)] is [float_of_int n ** -.alpha] for every
+      count [n] below {!pow_table_size} (1,024; on the
+      mitos-all-flows replay 59% of counts are below 16 and 40% in
+      256–1023). It is filled by the very expression
+      {!Cost.under_submarginal} evaluates, so [-.(u_t *. table.(n))]
+      has that function's bits; [Decision.add] falls back to [**]
+      at 1,024 and above. The 8 KB table is made once per α: a
+      setter that keeps α shares it with the old [t].
+    - [over_scale] is [tau *. tau_scale *. beta], multiplied in the
+      order {!Cost.over_factor} writes it, so g(P) keeps its bits.
+
+    A [t] is immutable, so both are safe to share across domains.
+    There is no cache and no second evaluation path: every caller
+    reads the same table. *)
 
 open Mitos_tag
 
@@ -37,7 +55,14 @@ type t = private {
   o : float array;
   total_tag_space : int;  (** N_R *)
   mem_capacity : int;  (** R *)
+  pow_neg_alpha : float array;
+      (** [float_of_int n ** -.alpha] at index [n], for [n] below
+          {!pow_table_size} *)
+  over_scale : float;  (** [tau *. tau_scale *. beta] *)
 }
+
+val pow_table_size : int
+(** 1,024: the length of [pow_neg_alpha]. *)
 
 val make :
   ?alpha:float ->

@@ -6,7 +6,21 @@
     this module, so the counts are exact at all times. The DIFT policy
     reads them to evaluate the paper's marginal cost (Eq. 8):
     [count] supplies the local per-tag value and [weighted_total] /
-    [total] supply the global memory-pollution term. *)
+    [total] supply the global memory-pollution term.
+
+    {b Two ways to one cell.} Each tag ever counted has one [int ref]
+    cell. [count], [incr] and [decr] reach it through an open-addressed
+    index (linear probing, at most half full) keyed by a splitmix-style
+    mix of the tag's type and id, so a lookup is a hash and about one
+    probe whatever ids the tags carry: 45,000 ids that are all
+    multiples of 2^20 go through incr, count and decr in about 0.02 s,
+    where [Tag.Table] lookups took 19.7 s ([Tag.hash] leaves the bucket
+    to the id's low bits). The folds ([fold], [counts_array],
+    [counts_of_type], [snapshot], and with them [Cost.under_total] and
+    [Fairness]) still walk a [Tag.Table] of the same cells, filled in
+    first-insertion order: its order reaches float sums and reports
+    byte for byte, and a fold in the index's order would change
+    them. *)
 
 type t
 

@@ -657,6 +657,125 @@ let qcheck_marginal_split_bit_exact =
            (bits (Cost.marginal p ty ~n ~pollution))
            (bits (Cost.under_submarginal p ty ~n +. over)))
 
+(* [Decision.add] reads [n ** -.alpha] from [Params]' table below
+   1,024 and pays the pow above it. Either way the candidate's
+   undertainting term must carry [Cost.under_submarginal]'s bits, for
+   every count the table covers and thousands past it. Candidate [i]
+   has id and count [i], so its term is found again after the sort. *)
+let check_under_table p =
+  let bits = Int64.bits_of_float in
+  let counts = 5_096 in
+  let s = Decision.scratch () in
+  for i = 0 to counts - 1 do
+    Decision.add s p (Tag.make (Tag_type.of_int (i mod Tag_type.count)) i)
+      ~count:i
+  done;
+  Decision.decide Decision.no_ctx p ~recompute:true ~pollution:0.0 ~space:0 s;
+  let seen = Array.make counts false in
+  let ok = ref true in
+  for k = 0 to Decision.length s - 1 do
+    let tag = Decision.nth_tag s k in
+    let n = float_of_int (Tag.id tag) in
+    seen.(Tag.id tag) <- true;
+    if
+      not
+        (Int64.equal
+           (bits (Decision.nth_under s k))
+           (bits (Cost.under_submarginal p (Tag.ty tag) ~n)))
+    then ok := false
+  done;
+  !ok && Array.for_all Fun.id seen
+
+let table_weights =
+  [ (Tag_type.Network, 0.7); (Tag_type.File, 3.0); (Tag_type.Sensor, 1.25) ]
+
+let test_under_table_bits () =
+  List.iter
+    (fun alpha ->
+      let made = base_params ~alpha ~u:table_weights () in
+      let rebuilt = Params.with_alpha (base_params ~u:table_weights ()) alpha in
+      Alcotest.(check bool)
+        (Printf.sprintf "alpha %g, made" alpha)
+        true (check_under_table made);
+      Alcotest.(check bool)
+        (Printf.sprintf "alpha %g, with_alpha" alpha)
+        true (check_under_table rebuilt))
+    [ 0.5; 1.0; 1.5; 2.0; 4.0 ]
+
+let qcheck_under_table_bits =
+  QCheck.Test.make ~name:"table under term = under_submarginal, random alpha"
+    ~count:30
+    QCheck.(float_range 0.01 8.0)
+    (fun alpha -> check_under_table (base_params ~alpha ~u:table_weights ()))
+
+(* The table is made once per alpha: setters that keep alpha share it. *)
+let test_params_table_shared () =
+  let p = base_params () in
+  let same q = q.Params.pow_neg_alpha == p.Params.pow_neg_alpha in
+  Alcotest.(check bool) "with_tau shares" true (same (Params.with_tau p 0.3));
+  Alcotest.(check bool) "with_beta shares" true (same (Params.with_beta p 3.0));
+  Alcotest.(check bool) "with_u shares" true
+    (same (Params.with_u p Tag_type.File 2.0));
+  Alcotest.(check bool) "with_alpha replaces" false
+    (same (Params.with_alpha p 2.0));
+  Alcotest.(check (float 0.0)) "over_scale follows tau" (0.3 *. 1.0 *. 2.0)
+    (Params.with_tau p 0.3).Params.over_scale
+
+(* g(P) as [Cost.over_factor] wrote it before β = 2 skipped the pow *)
+let over_factor_pow p pollution =
+  let n_r = float_of_int p.Params.total_tag_space in
+  p.Params.tau *. p.Params.tau_scale *. p.Params.beta
+  *. ((Float.max 0.0 pollution /. n_r) ** (p.Params.beta -. 1.0))
+
+(* A non-negative double from uniform bits: every exponent is as
+   likely as any other, so subnormals and huge values are common. NaN
+   patterns are drawn again. *)
+let rec random_nonneg rng =
+  let x =
+    Int64.float_of_bits
+      (Int64.logand (Random.State.bits64 rng) 0x7fff_ffff_ffff_ffffL)
+  in
+  if Float.is_nan x then random_nonneg rng else x
+
+let over_factor_agrees p rng ~samples =
+  let bits = Int64.bits_of_float in
+  let agree x =
+    Int64.equal (bits (Cost.over_factor p x)) (bits (over_factor_pow p x))
+  in
+  let fixed =
+    [ 0.0; -0.0; -1.0; Float.min_float; 4.9e-324; 2.2e-308; 1.0; 1e300;
+      Float.max_float; infinity ]
+  in
+  let ok = ref (List.for_all agree fixed) in
+  for _ = 1 to samples do
+    if not (agree (random_nonneg rng)) then ok := false
+  done;
+  !ok
+
+(* At β = 2, [over_factor] skips the pow ([pow x 1.0] is [x]); at any
+   other β it must still take it. *)
+let test_over_factor_beta2_bits () =
+  let rng = Random.State.make [| 2 |] in
+  List.iter
+    (fun (total_tag_space, tau, tau_scale) ->
+      let p =
+        Params.make ~beta:2.0 ~tau ~tau_scale ~total_tag_space
+          ~mem_capacity:1 ()
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "beta 2, N_R %d" total_tag_space)
+        true
+        (over_factor_agrees p rng ~samples:500_000))
+    [ (1, 0.7, 3.0); (10_000, 1.0, 1e4) ];
+  List.iter
+    (fun beta ->
+      Alcotest.(check bool)
+        (Printf.sprintf "beta %g" beta)
+        true
+        (over_factor_agrees (base_params ~beta ~tau:0.7 ()) rng
+           ~samples:20_000))
+    [ 1.0; 1.5; 2.5; 3.0; 4.0 ]
+
 (* -- Analysis ----------------------------------------------------------------------- *)
 
 let test_analysis_crossover_consistency () =
@@ -822,7 +941,17 @@ let () =
           q qcheck_alg2_equals_reference;
           Alcotest.test_case "of_stats" `Quick test_of_stats_env;
         ] );
-      ("marginals", [ q qcheck_marginal_split_bit_exact ]);
+      ( "marginals",
+        [
+          q qcheck_marginal_split_bit_exact;
+          Alcotest.test_case "table under term (bit-exact)" `Quick
+            test_under_table_bits;
+          q qcheck_under_table_bits;
+          Alcotest.test_case "table shared across setters" `Quick
+            test_params_table_shared;
+          Alcotest.test_case "over_factor beta 2 (bit-exact)" `Quick
+            test_over_factor_beta2_bits;
+        ] );
       ( "solver",
         [
           Alcotest.test_case "kkt constraints" `Quick test_solver_kkt_constraints;

@@ -201,6 +201,99 @@ let test_stats_copy_independent () =
   Alcotest.(check int) "copy unchanged" 1 (Tag_stats.count c (net 1));
   Alcotest.(check int) "original updated" 2 (Tag_stats.count s (net 1))
 
+(* [Tag_stats] reaches counts through its own index, but its folds
+   must keep [Tag.Table]'s order: the float sums and reports built on
+   them depend on it. The reference is a [Tag.Table] filled in the
+   same first-insertion order. Ids mix small values, multiples of 2^20
+   and large ones, over enough tags to grow the index and the table. *)
+let qcheck_stats_fold_order =
+  let op =
+    QCheck.Gen.(
+      triple (frequency [ (3, return true); (2, return false) ])
+        (int_range 0 (Tag_type.count - 1))
+        (oneof
+           [
+             int_range 0 700;
+             map (fun k -> k lsl 20) (int_range 0 700);
+             int_range 0 max_int;
+           ]))
+  in
+  QCheck.Test.make ~name:"fold order = Tag.Table's under random incr/decr"
+    ~count:100
+    QCheck.(make Gen.(list_size (0 -- 3000) op))
+    (fun ops ->
+      let s = Tag_stats.create () in
+      let reference = Tag.Table.create 256 in
+      let seen = ref [] in
+      let decr_raised = ref true in
+      List.iter
+        (fun (up, ty, id) ->
+          let tag = Tag.make (Tag_type.of_int ty) id in
+          seen := tag :: !seen;
+          match (up, Tag.Table.find_opt reference tag) with
+          | true, Some r ->
+            Tag_stats.incr s tag;
+            incr r
+          | true, None ->
+            Tag_stats.incr s tag;
+            Tag.Table.add reference tag (ref 1)
+          | false, Some r when !r > 0 ->
+            Tag_stats.decr s tag;
+            decr r
+          | false, (Some _ | None) ->
+            decr_raised :=
+              !decr_raised
+              && (try Tag_stats.decr s tag; false
+                  with Invalid_argument _ -> true))
+        ops;
+      let listed =
+        Tag.Table.fold
+          (fun tag r acc -> if !r > 0 then (tag, !r) :: acc else acc)
+          reference []
+      in
+      let copied = Tag.Table.create 256 in
+      Tag.Table.iter
+        (fun tag r -> if !r > 0 then Tag.Table.add copied tag (ref !r))
+        reference;
+      let folded t =
+        Tag_stats.fold t ~init:[] ~f:(fun acc tag n -> (tag, n) :: acc)
+      in
+      !decr_raised
+      && folded s = listed
+      && folded (Tag_stats.copy s)
+         = Tag.Table.fold (fun tag r acc -> (tag, !r) :: acc) copied []
+      && List.for_all
+           (fun tag ->
+             Tag_stats.count s tag
+             = match Tag.Table.find_opt reference tag with
+               | Some r -> !r
+               | None -> 0)
+           !seen
+      && Tag_stats.total s = List.fold_left (fun a (_, n) -> a + n) 0 listed
+      && Tag_stats.distinct s = List.length listed)
+
+(* Ids that share their low bits (all multiples of 2^20) fall into one
+   [Tag.Table] bucket; the count index must not walk them as a chain.
+   Timed in CPU seconds: on a 2-vCPU VM this takes about 0.02 s, and
+   took 19.7 s when every lookup went through [Tag.Table]. *)
+let test_stats_hostile_ids () =
+  let n = 45_000 in
+  let tags = Array.init n (fun k -> net (k lsl 20)) in
+  let t0 = Sys.time () in
+  let s = Tag_stats.create () in
+  Array.iter (Tag_stats.incr s) tags;
+  Array.iter (Tag_stats.incr s) tags;
+  let counted = Array.for_all (fun tag -> Tag_stats.count s tag = 2) tags in
+  Array.iter (Tag_stats.decr s) tags;
+  let after_decr = Array.for_all (fun tag -> Tag_stats.count s tag = 1) tags in
+  let elapsed = Sys.time () -. t0 in
+  Alcotest.(check bool) "counted twice" true counted;
+  Alcotest.(check bool) "once after decr" true after_decr;
+  Alcotest.(check int) "total" n (Tag_stats.total s);
+  Alcotest.(check int) "distinct" n (Tag_stats.distinct s);
+  if elapsed >= 0.5 then
+    Alcotest.failf "45,000 hostile ids took %.2f s of CPU" elapsed
+
 (* -- Shadow -------------------------------------------------------------- *)
 
 let mk_shadow ?(m_prov = 4) () =
@@ -695,6 +788,8 @@ let () =
           Alcotest.test_case "weighted total" `Quick test_stats_weighted_total;
           Alcotest.test_case "snapshot/arrays" `Quick test_stats_snapshot_and_arrays;
           Alcotest.test_case "copy" `Quick test_stats_copy_independent;
+          Alcotest.test_case "hostile ids" `Quick test_stats_hostile_ids;
+          q qcheck_stats_fold_order;
         ] );
       ( "shadow",
         [
