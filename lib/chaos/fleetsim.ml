@@ -603,7 +603,7 @@ let run cfg ~plan =
       resolved = 0;
     }
   in
-  let wall_start = Unix.gettimeofday () in
+  let wall_start = Mitos_util.Clock.now_ns () in
   Fun.protect
     ~finally:(fun () -> teardown st)
     (fun () ->
@@ -766,5 +766,6 @@ let run cfg ~plan =
           ticks = st.ticks;
           down_ticks = st.down_ticks;
           audit = st.audit;
-          wall_seconds = Unix.gettimeofday () -. wall_start;
+          wall_seconds =
+            float_of_int (Mitos_util.Clock.now_ns () - wall_start) /. 1e9;
         })

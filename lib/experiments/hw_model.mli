@@ -16,9 +16,9 @@ type costs = {
 }
 
 val software_costs : costs
-(** Calibrated from this repository's bechamel microbenchmarks (a
-    shadow op ≈ 0.5 µs including hash lookup; an Alg. 2 decision
-    ≈ 0.45 µs per candidate). *)
+(** Fixed constants, so the report stays deterministic: a shadow op
+    ≈ 0.5 µs including hash lookup, an Alg. 2 decision ≈ 0.45 µs per
+    candidate. [bench/perf]'s per-layer rows time the same stages. *)
 
 val hardware_costs : costs
 (** The §VI sketch: the marginal evaluation is two fixed-point ops in

@@ -1,7 +1,6 @@
 (** Experiment output assembly: each experiment produces a titled
-    section of text and tables that the bench harness prints to the
-    console and that can be re-rendered as Markdown for
-    EXPERIMENTS.md. *)
+    section of text and tables that [mitos-cli experiment] prints to
+    the console and that can be re-rendered as Markdown. *)
 
 type section
 

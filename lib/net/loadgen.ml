@@ -1,5 +1,6 @@
 open Mitos_tag
 module Rng = Mitos_util.Rng
+module Clock = Mitos_util.Clock
 module Minijson = Mitos_util.Minijson
 module Registry = Mitos_obs.Registry
 module Histogram = Mitos_obs.Histogram
@@ -105,34 +106,35 @@ let run ?(config = default_config) ?registry ?client_timeout
     let decisions = ref 0 and remote_errors = ref 0 in
     let fatal = ref None in
     let timed thunk =
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now_ns () in
       match thunk () with
-      | Ok () -> Histogram.observe latency ((Unix.gettimeofday () -. t0) *. 1e9)
+      | Ok () -> Histogram.observe latency (float_of_int (Clock.now_ns () - t0))
       | Error (Client.Remote _) -> incr remote_errors
       | Error err -> fatal := Some err
     in
-    let t_start = Unix.gettimeofday () in
+    let t_start = Clock.now_ns () in
+    let since_start () = float_of_int (Clock.now_ns () - t_start) /. 1e9 in
     (* Open-loop pacing: arrivals follow a seeded Pareto/diurnal
        schedule independent of service completions. When the service
        falls behind the schedule we issue immediately (never skip) and
-       record the lag — the open-loop tell that a closed loop hides. *)
-    let next_at = ref t_start in
+       record the lag — the open-loop tell that a closed loop hides.
+       Arrival times are seconds since [t_start]. *)
+    let next_at = ref 0.0 in
     let max_lag = ref 0.0 in
     let pace () =
       match config.open_loop with
       | None -> ()
       | Some o ->
-        let virt = !next_at -. t_start in
         let shape =
           Float.max 0.1
             (1.0
             +. o.diurnal_amp
-               *. sin (2.0 *. Float.pi *. virt /. o.diurnal_period_s))
+               *. sin (2.0 *. Float.pi *. !next_at /. o.diurnal_period_s))
         in
         let mean = 1.0 /. (o.rate_rps *. shape) in
         let xm = mean *. (o.pareto_alpha -. 1.0) /. o.pareto_alpha in
         next_at := !next_at +. Rng.pareto arrival_rng ~alpha:o.pareto_alpha ~xm;
-        let now = Unix.gettimeofday () in
+        let now = since_start () in
         if now < !next_at then Unix.sleepf (!next_at -. now)
         else max_lag := Float.max !max_lag (now -. !next_at)
     in
@@ -159,7 +161,7 @@ let run ?(config = default_config) ?registry ?client_timeout
             | Error err -> Error err);
       incr i
     done;
-    let elapsed = Unix.gettimeofday () -. t_start in
+    let elapsed = since_start () in
     let retries = Client.retries_used client in
     let trace_id = Client.last_trace_id client in
     Client.close client;
@@ -185,10 +187,8 @@ let run ?(config = default_config) ?registry ?client_timeout
             (match config.open_loop with
             | None -> None
             | Some _ ->
-              let scheduled = !next_at -. t_start in
               Some
-                (if scheduled > 0.0 then
-                   float_of_int config.requests /. scheduled
+                (if !next_at > 0.0 then float_of_int config.requests /. !next_at
                  else 0.0));
           max_lag_ms =
             (match config.open_loop with

@@ -115,8 +115,8 @@ val record_selection :
   chosen:string list ->
   unit ->
   unit
-(** A policy-level (request, selection) pair — the audit spine behind
-    [Combinators.audited]. *)
+(** A policy-level (request, selection) pair, for a policy that
+    audits its own selections rather than its Alg. 1/2 calls. *)
 
 val record_note : t -> string -> unit
 (** A free-form marker record (analyzers use these to delimit

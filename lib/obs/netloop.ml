@@ -8,7 +8,7 @@ type conn = {
   mutable input : string;  (* read, not yet consumed *)
   mutable output : string;  (* not yet written *)
   mutable closing : bool;  (* close once [output] is written *)
-  mutable deadline : float;
+  mutable deadline : int;  (* Clock.now_ns *)
 }
 
 (* One loop domain. The select sets are cached ([None] = stale) and
@@ -18,15 +18,20 @@ type loop = {
   listening : Unix.file_descr;
   accept : unit -> session;
   on_error : exn -> unit;
-  timeout : float;
+  timeout_ns : int;
   conns : (Unix.file_descr, conn) Hashtbl.t;
   chunk : Bytes.t;
   replies : Buffer.t;
   mutable sets : (Unix.file_descr list * Unix.file_descr list) option;
-  mutable next_scan : float;
+  mutable next_scan : int;
 }
 
 let tick = 0.2
+(* Deadlines are [Clock.now_ns] ints. A timeout is capped at 1e9 s
+   (~31 years), so an infinite one never expires and [now + timeout]
+   stays inside an int. *)
+let ns seconds = int_of_float (Float.min seconds 1e9 *. 1e9)
+let tick_ns = ns tick
 
 let close lp c =
   Hashtbl.remove lp.conns c.fd;
@@ -56,11 +61,11 @@ let deliver lp c stream data now =
     | Need_more -> c.input <- String.sub data pos (String.length data - pos)
     | Reply (reply, next) ->
       Buffer.add_string lp.replies reply;
-      c.deadline <- now +. lp.timeout;
+      c.deadline <- now + lp.timeout_ns;
       go next
     | Reply_close reply ->
       Buffer.add_string lp.replies reply;
-      c.deadline <- now +. lp.timeout;
+      c.deadline <- now + lp.timeout_ns;
       c.closing <- true
   in
   match go 0 with
@@ -97,7 +102,7 @@ let admit lp now =
       Unix.set_nonblock fd;
       Hashtbl.replace lp.conns fd
         { fd; session = lp.accept (); input = ""; output = ""; closing = false;
-          deadline = now +. lp.timeout };
+          deadline = now + lp.timeout_ns };
       lp.sets <- None
     | exception Unix.Unix_error (EINVAL, _, _) -> Netio.close_quietly fd)
   | exception Unix.Unix_error _ -> ()
@@ -121,7 +126,7 @@ let expire lp now =
          if c.closing || c.output <> "" then close lp c
          else deliver lp c Timed_out c.input now;
          lp.sets <- None);
-  lp.next_scan <- now +. tick
+  lp.next_scan <- now + tick_ns
 
 (* Writers go before readers, so a descriptor that is closed and then
    reused by an accept in the same round is not looked up again. *)
@@ -142,7 +147,7 @@ let serve lp stopping =
     in
     match Unix.select readers writers [] tick with
     | rd, wr, _ ->
-      let now = Unix.gettimeofday () in
+      let now = Mitos_util.Clock.now_ns () in
       List.iter (fun fd -> on lp fd (flush lp)) wr;
       List.iter
         (fun fd ->
@@ -160,9 +165,10 @@ let start ~domains ~timeout ~accept ~on_error sock =
   let stopping = Atomic.make false in
   let loop () =
     serve
-      { listening = sock; accept; on_error; timeout; conns = Hashtbl.create 16;
+      { listening = sock; accept; on_error;
+        timeout_ns = ns timeout; conns = Hashtbl.create 16;
         chunk = Bytes.create 65536; replies = Buffer.create 4096; sets = None;
-        next_scan = 0.0 }
+        next_scan = 0 }
       stopping
   in
   let domains = List.init domains (fun _ -> Domain.spawn loop) in

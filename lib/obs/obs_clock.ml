@@ -1,8 +1,8 @@
 type t = unit -> int
 
 let real () =
-  let t0 = Unix.gettimeofday () in
-  fun () -> int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)
+  let t0 = Mitos_util.Clock.now_ns () in
+  fun () -> (Mitos_util.Clock.now_ns () - t0) / 1000
 
 let logical ?(start = 0) () =
   let next = ref start in

@@ -5,9 +5,8 @@
     *ticks*:
 
     - the {!real} clock reports microseconds elapsed since the clock
-      was created (wall time, monotonic for our purposes) — use it
-      when the absolute numbers matter (overhead benchmarks, live
-      profiling);
+      was created, read from {!Mitos_util.Clock.now_ns} — use it
+      when the absolute numbers matter (live serving, profiling);
     - the {!logical} clock reports a counter that advances by one per
       query — durations become "number of clock reads", which is
       fully deterministic, so traces and metrics rendered from a

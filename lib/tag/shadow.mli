@@ -36,7 +36,7 @@ val strategy_to_string : eviction_strategy -> string
     [Paged] mirrors memory with lazily-allocated 4 KiB page tables —
     constant-time access, proportional-to-touched-pages footprint (the
     "duplicated memory" end of the spectrum). Behaviour is identical;
-    only cost differs (see the microbenchmarks). *)
+    only cost differs. *)
 type backend = Hashed | Paged
 
 val backend_to_string : backend -> string

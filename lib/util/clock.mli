@@ -1,7 +1,8 @@
 (** A monotonic clock for timing durations.
 
-    Unlike [Unix.gettimeofday], it never steps when the wall clock is
-    set, so the difference of two reads is an elapsed time. *)
+    Unlike the wall clock that [gettimeofday] reads, it never steps
+    when the system time is set, so the difference of two reads is an
+    elapsed time. Every duration the libraries time is read here. *)
 
 val now_ns : unit -> int
 (** Nanoseconds on [CLOCK_MONOTONIC] since an arbitrary origin fixed

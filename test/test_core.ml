@@ -264,6 +264,36 @@ let test_of_stats_env () =
   Alcotest.(check int) "count" 2 (env.Decision.count (net 1));
   Alcotest.(check (float 1e-9)) "pollution" 2.0 env.Decision.pollution
 
+(* Paper §IV-B: a decision's cost does not depend on the number of
+   live tags. Minor-heap words are exact where time is not, so the
+   claim is checked as an equality: [Decision.alg1] allocates the same
+   words per decision with 10, 1,000 and 100,000 live tags behind the
+   counts it reads. *)
+let test_alg1_words_independent_of_live_tags () =
+  let p =
+    Params.make ~total_tag_space:(1 lsl 30) ~mem_capacity:(1 lsl 20) ()
+  in
+  let words_per_decision live =
+    let stats = Tag_stats.create () in
+    for i = 1 to live do
+      Tag_stats.incr stats (net i)
+    done;
+    let env = Decision.of_stats p stats in
+    let decisions = 1_000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to decisions do
+      ignore (Sys.opaque_identity (Decision.alg1 p env (net 1)))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int decisions
+  in
+  let at_10 = words_per_decision 10 in
+  List.iter
+    (fun live ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "words per decision at %d live tags" live)
+        at_10 (words_per_decision live))
+    [ 1_000; 100_000 ]
+
 (* -- Solver --------------------------------------------------------------------- *)
 
 let solver_items p tys = Array.of_list (List.map (fun ty -> Solver.item p ty) tys)
@@ -940,6 +970,8 @@ let () =
           q qcheck_alg2_paper_equals_scanning_homogeneous;
           q qcheck_alg2_equals_reference;
           Alcotest.test_case "of_stats" `Quick test_of_stats_env;
+          Alcotest.test_case "alg1 words independent of live tags" `Quick
+            test_alg1_words_independent_of_live_tags;
         ] );
       ( "marginals",
         [

@@ -471,62 +471,6 @@ let test_confluence_boost_policy () =
           { (req ~kind:Policy.Direct_copy ~candidates:[ net 9 ] ~space:8) with
             stats }))
 
-let test_combinators () =
-  let candidates = [ net 1; net 2; Tag.make Tag_type.File 1 ] in
-  let request = req ~kind:Policy.Addr ~candidates ~space:8 in
-  let never = Policies.block_all in
-  let always = Policies.propagate_all in
-  (* intersect *)
-  Alcotest.(check int) "always && never = never" 0
-    (List.length (Policy.select (Combinators.intersect "x" always never) request));
-  Alcotest.(check int) "always && always = always" 3
-    (List.length (Policy.select (Combinators.intersect "x" always always) request));
-  (* union *)
-  Alcotest.(check int) "never || always = always" 3
-    (List.length (Policy.select (Combinators.union "x" never always) request));
-  Alcotest.(check int) "no duplicates in union" 3
-    (List.length (Policy.select (Combinators.union "x" always always) request));
-  (* per_type: network blocked, everything else allowed *)
-  let pt =
-    Combinators.per_type ~default:always [ (Tag_type.Network, never) ]
-  in
-  (match Policy.select pt request with
-  | [ tag ] ->
-    Alcotest.(check bool) "only the file tag survives" true
-      (Tag_type.equal (Tag.ty tag) Tag_type.File)
-  | l -> Alcotest.failf "expected 1 tag, got %d" (List.length l));
-  (* per_type honours space *)
-  let tight = { request with Policy.space = 1 } in
-  Alcotest.(check int) "space bound" 1
-    (List.length (Policy.select (Combinators.per_type ~default:always []) tight));
-  (* cap_per_flow *)
-  Alcotest.(check int) "cap 2" 2
-    (List.length (Policy.select (Combinators.cap_per_flow 2 always) request));
-  (* logging *)
-  let seen = ref 0 in
-  let logged =
-    Combinators.logging (fun _ chosen -> seen := List.length chosen) always
-  in
-  Alcotest.(check int) "passthrough" 3 (List.length (Policy.select logged request));
-  Alcotest.(check int) "callback saw selection" 3 !seen
-
-let test_combinator_stack_on_workload () =
-  (* MITOS restricted by a Minos width rail, with a per-flow cap:
-     the stack runs end-to-end and stays within the endpoints *)
-  let params = Mitos_experiments.Calib.sensitivity_params ~tau:0.01 () in
-  let stack =
-    Combinators.cap_per_flow 4
-      (Combinators.intersect "mitos&&minos" (Policies.mitos params)
-         Policies.minos_width)
-  in
-  let b = Mitos_workload.Crypto.build ~input_len:256 ~seed:5 () in
-  let e = Mitos_workload.Workload.run_live ~policy:stack b in
-  let b2 = Mitos_workload.Crypto.build ~input_len:256 ~seed:5 () in
-  let minos_only = Mitos_workload.Workload.run_live ~policy:Policies.minos_width b2 in
-  Alcotest.(check bool) "stack propagates at most what the rail allows" true
-    ((Engine.counters e).Engine.ifp_propagated
-    <= (Engine.counters minos_only).Engine.ifp_propagated)
-
 let test_litmus_profiles () =
   let conforms name ~direct ~addr ~ctrl policy =
     match Litmus.check ~direct ~addr ~ctrl policy with
@@ -560,37 +504,6 @@ let test_litmus_detects_misdeclared_profile () =
   Alcotest.(check int) "suite covers all cases"
     (List.length Litmus.cases)
     (List.length (Litmus.run Policies.faros))
-
-let qcheck_combinator_laws =
-  QCheck.Test.make ~name:"intersect subset / union superset" ~count:100
-    QCheck.(
-      make
-        Gen.(
-          pair (int_range 0 3)
-            (list_size (1 -- 6) (pair (int_range 0 2) (int_range 1 50)))))
-    (fun (kind_i, raw) ->
-      let kind =
-        List.nth [ Policy.Addr; Policy.Ctrl; Policy.Direct_copy; Policy.Ijump ]
-          kind_i
-      in
-      let candidates =
-        List.map
-          (fun (ty_i, id) ->
-            Tag.make (Tag_type.of_int ty_i) id)
-          raw
-        |> List.sort_uniq Tag.compare
-      in
-      let request = req ~kind ~candidates ~space:8 in
-      let a = Policies.minos_width and b = Policies.probabilistic ~seed:3 ~p:0.5 in
-      let sa = Policy.select a request in
-      let inter =
-        Policy.select (Combinators.intersect "i" a b) request
-      in
-      let uni = Policy.select (Combinators.union "u" a b) request in
-      let subset xs ys = List.for_all (fun x -> List.exists (Tag.equal x) ys) xs in
-      (* note: b is stateful (PRNG) so only laws against a are stable *)
-      subset inter sa && subset sa uni
-      && List.length (List.sort_uniq Tag.compare uni) = List.length uni)
 
 (* The MITOS policy decides in the scratch its request carries; the
    list entry points decide in a scratch of their own. One scratch is
@@ -735,10 +648,6 @@ let () =
           Alcotest.test_case "threshold" `Quick test_policy_threshold;
           Alcotest.test_case "mitos flags" `Quick test_policy_mitos_flags;
           Alcotest.test_case "confluence boost" `Quick test_confluence_boost_policy;
-          Alcotest.test_case "combinators" `Quick test_combinators;
-          Alcotest.test_case "combinator stack on workload" `Quick
-            test_combinator_stack_on_workload;
-          q qcheck_combinator_laws;
           q qcheck_policy_scratch_matches_alg2;
         ] );
       ( "litmus",

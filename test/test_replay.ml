@@ -860,6 +860,29 @@ let test_replay_allocation () =
   within "decode" 12.2 decode;
   within "walk" 25.0 walk
 
+(* An engine instrumented with [Obs.disabled] and no audit keeps a
+   decision context that nothing observes, so it must cost nothing:
+   the same replay, once plain and once so instrumented, allocates
+   exactly the same words and ends with the same counters. *)
+let test_disabled_obs_allocates_nothing_more () =
+  let built = W.Netbench.build ~seed:1 ~chunks:2 () in
+  let trace = W.Workload.record built in
+  let records = Trace.records trace in
+  let walk ?obs () =
+    let engine =
+      W.Workload.replay_engine ?obs ~config:Calib.attack_engine_config
+        ~policy:(Calib.mitos_all_flows params) built trace
+    in
+    let words =
+      minor_words (fun () -> Array.iter (Engine.process_record engine) records)
+    in
+    (words, counters_fingerprint (Engine.counters engine))
+  in
+  let plain_words, plain = walk () in
+  let disabled_words, disabled = walk ~obs:Mitos_obs.Obs.disabled () in
+  Alcotest.(check string) "engine counters" plain disabled;
+  Alcotest.(check (float 0.0)) "words per replay" plain_words disabled_words
+
 (* An empty batch outside an instrumented engine decides nothing and
    leaves no record, so it allocates nothing. *)
 let test_empty_batch_allocates_nothing () =
@@ -959,5 +982,7 @@ let () =
             test_replay_allocation;
           Alcotest.test_case "empty batch allocates nothing" `Quick
             test_empty_batch_allocates_nothing;
+          Alcotest.test_case "disabled obs allocates nothing more" `Quick
+            test_disabled_obs_allocates_nothing_more;
         ] );
     ]
